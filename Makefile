@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build test test-multicore race fuzz-smoke bench bench-pool bench-credman bench-authz bench-record bench-stripe bench-telemetry bench-trace bench-scale bench-ctrlplane gate-allocs fmt
+.PHONY: ci fmt-check vet build test test-multicore race flake-hunt fuzz-smoke bench bench-pool bench-credman bench-authz bench-record bench-stripe bench-telemetry bench-trace bench-scale bench-ctrlplane gate-allocs fmt
 
 ## ci: the tier-1 gate — format check, vet, build, test (plus the
 ## GOMAXPROCS matrix over the striped data plane: the same tests must
@@ -38,6 +38,11 @@ test-multicore:
 ## clean under the race detector.
 race:
 	$(GO) test -race ./...
+
+## flake-hunt: every test ten times at GOMAXPROCS 1 and 2, to surface
+## tests that pass on most runs but not all. Slow; not part of ci.
+flake-hunt:
+	$(GO) test -count=10 -cpu 1,2 ./...
 
 ## fuzz-smoke: a short fuzz pass over every parser target (go test runs
 ## one -fuzz target per invocation).

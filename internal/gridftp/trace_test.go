@@ -7,17 +7,18 @@ import (
 	"repro/internal/trace"
 )
 
-// waitTraceSpans polls a recorder until min spans of one trace landed.
-func waitTraceSpans(t *testing.T, tr *trace.Tracer, tid string, min int) []trace.SpanRecord {
+// waitSpans polls a recorder until min spans matching q landed: the
+// server ends its spans after the client's call has already returned.
+func waitSpans(t *testing.T, tr *trace.Tracer, q trace.Query, min int) []trace.SpanRecord {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		recs := tr.Recorder().Snapshot(trace.Query{TraceID: tid, N: 100})
+		recs := tr.Recorder().Snapshot(q)
 		if len(recs) >= min {
 			return recs
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("wanted %d spans of trace %s, recorder holds %d: %+v", min, tid, len(recs), recs)
+			t.Fatalf("wanted %d spans matching %+v, recorder holds %d: %+v", min, q, len(recs), recs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -65,7 +66,7 @@ func TestStripedGetTracePropagation(t *testing.T) {
 	}
 	tid := root.TraceID.String()
 
-	cli := waitTraceSpans(t, clientTracer, tid, 1+stripes)
+	cli := waitSpans(t, clientTracer, trace.Query{TraceID: tid, N: 100}, 1+stripes)
 	lanes := 0
 	for _, r := range cli {
 		if r.Op == "gridftp.stripe" {
@@ -76,7 +77,7 @@ func TestStripedGetTracePropagation(t *testing.T) {
 		t.Fatalf("client trace holds %d gridftp.stripe lanes, want %d: %+v", lanes, stripes, cli)
 	}
 
-	srv := waitTraceSpans(t, serverTracer, tid, 1+stripes)
+	srv := waitSpans(t, serverTracer, trace.Query{TraceID: tid, N: 100}, 1+stripes)
 	srvOps := make(map[string]int)
 	for _, r := range srv {
 		srvOps[r.Op]++
@@ -132,7 +133,9 @@ func TestTraceInteropUntracedPeers(t *testing.T) {
 	if err != nil || len(got) != len(payload) {
 		t.Fatalf("untraced→traced striped GET: %d bytes, %v", len(got), err)
 	}
-	recs := st.Recorder().Snapshot(trace.Query{Op: "gridftp.server.get"})
+	// The server ends gridftp.server.get only after sending every
+	// stripe's FIN, so the span can land after GetStriped returns.
+	recs := waitSpans(t, st, trace.Query{Op: "gridftp.server.get"}, 1)
 	if len(recs) != 1 {
 		t.Fatalf("traced server recorded %d gridftp.server.get spans, want 1", len(recs))
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/authz"
+	"repro/internal/ogsa"
 	"repro/pkg/gsi"
 )
 
@@ -335,5 +337,168 @@ func TestCASFlowThroughHandles(t *testing.T) {
 	res, err := enforcer.Authorize(restricted.Chain, "data:/climate/run1", "read", time.Time{})
 	if err != nil || res.Decision != gsi.Permit {
 		t.Fatalf("%v %+v", err, res)
+	}
+}
+
+// whoamiReply renders what a handler saw of its peer: the identity and
+// the gridmap account the authorization step mapped it to.
+func whoamiReply(peer gsi.Peer) string {
+	return peer.Identity.String() + "|" + peer.LocalAccount
+}
+
+// TestAuthorizationModesByEntryPoint drives every server-side entry
+// point under each authorization mode. Alice is permitted everywhere;
+// Bob authenticates but is permitted only where nothing decides. In
+// pipeline mode the handler sees Alice's gridmap account. Exchange
+// servers take no streams, so the GT3 exchange rows run on a container
+// whose only authorization step is the exchange gate.
+func TestAuthorizationModesByEntryPoint(t *testing.T) {
+	tb := newTestbed(t)
+	bob, err := tb.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineEnv, err := gsi.NewEnvironment(
+		gsi.WithTrustStore(tb.env.Trust()),
+		gsi.WithAuthorizer(permitOnly("/O=Grid/CN=Alice")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm := gsi.NewGridMap()
+	gm.Add(tb.alice.Identity(), "alice")
+	local := gsi.NewPolicy(gsi.Rule{
+		Effect:    gsi.EffectPermit,
+		Subjects:  []string{"/O=Grid/CN=Alice"},
+		Resources: []string{"ogsa:gsi.exchange"},
+		Actions:   []string{"*"},
+	})
+
+	modes := []struct {
+		name      string
+		env       *gsi.Environment
+		opts      []gsi.Option
+		bobDenied bool
+		account   string // Alice's LocalAccount as the handler sees it
+	}{
+		{"pipeline", tb.env, []gsi.Option{gsi.WithLocalPolicy(local), gsi.WithGridMap(gm)}, true, "alice"},
+		{"engine", engineEnv, nil, true, ""},
+		{"authenticated-only", tb.env, nil, false, ""},
+	}
+	exchange := func(ctx context.Context, c *gsi.Client, addr string) (string, error) {
+		out, err := c.Exchange(ctx, addr, "whoami", nil)
+		return string(out), err
+	}
+	stream := func(stripes int) func(context.Context, *gsi.Client, string) (string, error) {
+		return func(ctx context.Context, c *gsi.Client, addr string) (string, error) {
+			st, err := c.OpenStripedStream(ctx, addr, "whoami", gsi.WithStripes(stripes))
+			if err != nil {
+				return "", err
+			}
+			err = st.CloseWrite() // nothing to send
+			out, rerr := io.ReadAll(st)
+			if err == nil {
+				err = rerr
+			}
+			if cerr := st.Close(); err == nil {
+				err = cerr
+			}
+			return string(out), err
+		}
+	}
+	entries := []struct {
+		name      string
+		transport gsi.Transport
+		streams   bool
+		call      func(context.Context, *gsi.Client, string) (string, error)
+	}{
+		{"gt2-exchange", gsi.TransportGT2(), false, exchange},
+		{"gt2-stream", gsi.TransportGT2(), true, stream(1)},
+		{"gt2-striped", gsi.TransportGT2(), true, stream(2)},
+		{"gt3-exchange", gsi.TransportGT3(), false, exchange},
+		{"gt3-stream", gsi.TransportGT3(), true, stream(1)},
+	}
+	handler := func(ctx context.Context, peer gsi.Peer, op string, body []byte) ([]byte, error) {
+		return []byte(whoamiReply(peer)), nil
+	}
+	streamHandler := func(ctx context.Context, peer gsi.Peer, op string, st gsi.Stream) error {
+		_, err := io.WriteString(st, whoamiReply(peer))
+		return err
+	}
+
+	for _, m := range modes {
+		for _, e := range entries {
+			t.Run(m.name+"/"+e.name, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				opts := append([]gsi.Option{gsi.WithTransport(e.transport)}, m.opts...)
+				if e.streams {
+					opts = append(opts, gsi.WithStreamHandler(streamHandler))
+				}
+				server, err := m.env.NewServer(tb.host, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ep, err := server.Serve(ctx, "127.0.0.1:0", handler)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ep.Close()
+
+				alice, err := tb.env.NewClient(tb.alice, gsi.WithTransport(e.transport))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.call(ctx, alice, ep.Addr())
+				if want := "/O=Grid/CN=Alice|" + m.account; err != nil || got != want {
+					t.Fatalf("alice: got %q, %v; want %q", got, err, want)
+				}
+
+				bobClient, err := tb.env.NewClient(bob, gsi.WithTransport(e.transport))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = e.call(ctx, bobClient, ep.Addr())
+				switch {
+				case m.bobDenied && !errors.Is(err, gsi.ErrUnauthorized):
+					t.Fatalf("bob: got %q, %v; want ErrUnauthorized", got, err)
+				case !m.bobDenied && (err != nil || got != "/O=Grid/CN=Bob|"):
+					t.Fatalf("bob: got %q, %v; want permitted without an account", got, err)
+				}
+			})
+		}
+	}
+}
+
+// TestAdminRefusedAuthenticatedOnly: a GT3 server with WithAdmin but
+// neither an authorization pipeline nor an environment authorizer must
+// be refused at Serve — with or without a stream handler — so no
+// authenticated peer can reach gsi.__admin on an endpoint where nothing
+// decides.
+func TestAdminRefusedAuthenticatedOnly(t *testing.T) {
+	tb := newTestbed(t)
+	streamHandler := func(ctx context.Context, peer gsi.Peer, op string, st gsi.Stream) error { return nil }
+	for _, streams := range []bool{false, true} {
+		opts := []gsi.Option{gsi.WithTransport(gsi.TransportGT3()), gsi.WithAdmin()}
+		if streams {
+			opts = append(opts, gsi.WithStreamHandler(streamHandler))
+		}
+		server, err := tb.env.NewServer(tb.host, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		ep, err := server.Serve(ctx, "127.0.0.1:0", echoHandler)
+		if err == nil {
+			defer ep.Close()
+			client, cerr := tb.env.NewClient(tb.alice, gsi.WithTransport(gsi.TransportGT3()))
+			if cerr != nil {
+				t.Fatal(cerr)
+			}
+			if _, _, ierr := client.Invoke(ctx, ep.Addr(), ogsa.AdminHandle, ogsa.AdminOpStats, nil); ierr == nil {
+				t.Errorf("streams=%v: an unprivileged peer read gsi.__admin Stats", streams)
+			}
+			t.Fatalf("streams=%v: Serve accepted WithAdmin on an authenticated-only endpoint", streams)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package gsi_test
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -35,7 +36,15 @@ func TestFacadeCASFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cred, err := gsi.EmbedAssertion(alice, assertion)
+	env, err := gsi.NewEnvironment(gsi.WithTrustStore(trust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := env.NewClient(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred, err := client.EmbedAssertion(assertion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,8 @@ func TestFacadeMyProxyAndGridMap(t *testing.T) {
 	}
 }
 
-// TestFacadeDialGSI covers the GT2 transport helper.
+// TestFacadeDialGSI covers a raw GT2 record stream between facade
+// credentials: gsitransport.Dial against a facade-configured listener.
 func TestFacadeDialGSI(t *testing.T) {
 	authority, _ := gsi.NewCA("/O=Grid/CN=CA", 24*time.Hour)
 	trust := gsi.NewTrustStore()
@@ -115,7 +125,7 @@ func TestFacadeDialGSI(t *testing.T) {
 		}
 		done <- conn.Send(msg)
 	}()
-	conn, err := gsi.DialGSI(l.Addr().String(), gsi.ContextConfig{Credential: alice, TrustStore: trust})
+	conn, err := gsitransport.Dial(l.Addr().String(), gsi.ContextConfig{Credential: alice, TrustStore: trust})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +157,19 @@ func TestGT2GT3CredentialCompatibility(t *testing.T) {
 	}
 
 	// GT2: raw transport mutual auth with the proxy.
-	ictx, actx, err := gsi.EstablishContext(
-		gsi.ContextConfig{Credential: p, TrustStore: boot.Trust},
-		gsi.ContextConfig{Credential: boot.Host, TrustStore: boot.Trust},
-	)
+	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxyClient, err := env.NewClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, actx, err := proxyClient.Establish(context.Background(),
+		gsi.ContextConfig{Credential: boot.Host, TrustStore: boot.Trust})
 	if err != nil {
 		t.Fatalf("GT2 path: %v", err)
 	}
-	_ = ictx
 	if !actx.Peer().Identity.Equal(alice.Identity()) {
 		t.Fatalf("GT2 identity = %q", actx.Peer().Identity)
 	}

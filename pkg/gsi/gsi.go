@@ -228,27 +228,6 @@ func NewProxy(signer *Credential, opts ProxyOptions) (*Credential, error) {
 	return proxy.New(signer, opts)
 }
 
-// EstablishContext runs an in-memory mutual authentication and returns
-// both sides' contexts.
-//
-// Deprecated: build a Client with Environment.NewClient and use
-// Client.Establish, which honors a context.Context and returns typed
-// errors.
-func EstablishContext(initiator, acceptor ContextConfig) (*Context, *Context, error) {
-	return gss.Establish(initiator, acceptor)
-}
-
-// DialGSI connects to a GT2-style secured TCP endpoint.
-//
-// Deprecated: build a Client with Environment.NewClient and use
-// Client.Connect with TransportGT2 (the default), which honors a
-// context.Context mid-handshake and returns typed errors. DialGSI
-// remains for callers speaking raw GT2 record streams rather than
-// request/response exchanges.
-func DialGSI(addr string, cfg ContextConfig) (*Conn, error) {
-	return gsitransport.Dial(addr, cfg)
-}
-
 // NewPolicy creates a deny-overrides policy.
 func NewPolicy(rules ...Rule) *Policy {
 	return authz.NewPolicy(authz.DenyOverrides).Add(rules...)
@@ -264,14 +243,6 @@ func NewCASServer(voCred *Credential) *CASServer { return cas.NewServer(voCred) 
 // NewCASEnforcer creates the resource-side CAS policy combiner.
 func NewCASEnforcer(trust *TrustStore, local *Policy) *CASEnforcer {
 	return cas.NewEnforcer(trust, local)
-}
-
-// EmbedAssertion wraps a CAS assertion into a restricted proxy.
-//
-// Deprecated: use Client.EmbedAssertion, which classifies failures onto
-// the package error taxonomy.
-func EmbedAssertion(member *Credential, a *CASAssertion) (*Credential, error) {
-	return cas.EmbedInProxy(member, a)
 }
 
 // NewBootstrap builds a complete single-CA environment: CA, trust store,

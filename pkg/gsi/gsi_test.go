@@ -1,6 +1,7 @@
 package gsi_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -33,10 +34,16 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutual authentication with the proxy.
-	ictx, actx, err := gsi.EstablishContext(
-		gsi.ContextConfig{Credential: p, TrustStore: trust},
-		gsi.ContextConfig{Credential: host, TrustStore: trust},
-	)
+	env, err := gsi.NewEnvironment(gsi.WithTrustStore(trust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := env.NewClient(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ictx, actx, err := client.Establish(context.Background(),
+		gsi.ContextConfig{Credential: host, TrustStore: trust})
 	if err != nil {
 		t.Fatal(err)
 	}

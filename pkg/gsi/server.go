@@ -14,10 +14,10 @@ import (
 
 // Server is the acceptor handle of the redesigned API: a service
 // credential bound to an Environment, serving secured exchanges over a
-// chosen Transport. The environment's authorizer (if any) gates every
-// exchange before the handler runs, so the handler sees only
-// authenticated, authorized calls — the paper's hosting-environment
-// pipeline as an API shape.
+// chosen Transport. The server's authorization pipeline — else the
+// environment's authorizer, if any — gates every exchange before the
+// handler runs, so the handler sees only authenticated, authorized
+// calls: the paper's hosting-environment pipeline as an API shape.
 //
 //	server, _ := env.NewServer(hostCred, gsi.WithTransport(gsi.TransportGT3()))
 //	ep, _ := server.Serve(ctx, "127.0.0.1:0", handler)
@@ -151,9 +151,8 @@ func (s *Server) Serve(ctx context.Context, addr string, h Handler, opts ...Opti
 		Context:       resolved.contextConfig(s.env, s.cred),
 		Handler:       h,
 		StreamHandler: resolved.streamHandler,
-		Environment:   s.env,
-		Pipeline:      pipeline,
 		Tracer:        resolved.tracer,
+		authorizer:    newServerAuthorizer(s.env, pipeline, resolved.tracer),
 	}
 	wantCtrl := resolved.metrics != nil || resolved.reloadCfg != nil ||
 		resolved.metricsAddr != "" || resolved.adminEnable ||
@@ -162,6 +161,9 @@ func (s *Server) Serve(ctx context.Context, addr string, h Handler, opts ...Opti
 		if resolved.adminEnable {
 			if _, ok := resolved.transport.(gt3Transport); !ok {
 				return nil, opErr(op, errors.New("gsi: the admin surface requires the GT3 transport (a hosting container to publish gsi.__admin on)"))
+			}
+			if scfg.authorizer.mode == authzAuthenticatedOnly {
+				return nil, opErr(op, errors.New("gsi: the admin surface requires an authorizing endpoint (configure an authorization pipeline or an environment authorizer); authenticated-only would let any peer command the control plane"))
 			}
 		}
 		if resolved.casPublish != nil {
@@ -390,15 +392,15 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // containerHook is the GT3 container hook of a control-plane endpoint:
 // it folds the endpoint's conversation table into the server's gauges
-// and, when WithAdmin is on, publishes the admin port type — refused by
-// EnableAdmin if the container cannot authorize it.
+// and, when WithAdmin is on, publishes the admin port type (Serve has
+// already refused an authenticated-only endpoint).
 func (s *Server) containerHook(resolved settings, pipeline *AuthorizationPipeline) func(*ogsa.Container) error {
 	return func(c *ogsa.Container) error {
 		s.sources().addConvMgr(c.ConversationManager())
 		if resolved.casPublish != nil {
 			// The sync service enforces its own channel rules; route-step
 			// authorization (resource "ogsa:gsi.__cas.sync") is the
-			// container's, which Serve guaranteed has a pipeline. The
+			// endpoint's seam, which Serve guaranteed is a pipeline. The
 			// pipeline also feeds the hot-key export: keys only, never
 			// decisions, and reading them is itself an authorized op.
 			svc := cas.NewSyncService(resolved.casPublish, resolved.authzAudit)

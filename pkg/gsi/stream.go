@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/authz"
 	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/record"
@@ -629,17 +628,13 @@ func (h *serverGT3Stream) Peer() Peer   { return h.s.peer }
 // --- GT3 authorization gate ----------------------------------------------
 
 // gt3AuthGate is the container's chain-authorization hook with stream
-// awareness: stream opens are authorized as the op they carry (through
-// the pipeline when configured, once per stream), chunk calls are
-// admitted by possession of a live stream id bound to the same
-// authenticated peer, and everything else follows the exact pre-stream
-// rules (pipeline, else plain engine, else authenticated-is-enough).
+// awareness: stream opens are authorized as the op they carry (once per
+// stream), chunk calls are admitted by possession of a live stream id
+// bound to the same authenticated peer, and every other call is decided
+// by the endpoint's authorization seam.
 type gt3AuthGate struct {
-	pipeline *AuthorizationPipeline
-	engine   Engine
-	env      *Environment
-	reg      *gt3StreamRegistry
-	tracer   *Tracer
+	authorizer serverAuthorizer
+	reg        *gt3StreamRegistry
 }
 
 func (g *gt3AuthGate) AuthorizeChain(ctx context.Context, peer Peer, resource, action string) (string, error) {
@@ -651,52 +646,21 @@ func (g *gt3AuthGate) AuthorizeChain(ctx context.Context, peer Peer, resource, a
 		if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
 			return "", fmt.Errorf("gsi: invalid stream op %q denied", op)
 		}
-		return g.authorize(ctx, peer, resource, op)
-	}
-	id, isChunk := strings.CutPrefix(action, gt3StreamWritePrefix)
-	if !isChunk {
-		id, isChunk = strings.CutPrefix(action, gt3StreamReadPrefix)
-	}
-	if isChunk {
-		st := g.reg.get(id)
-		if st == nil || st.peerKey != peerKey(peer) {
-			return "", errors.New("gsi: unknown stream denied")
+		action = op // authorized as the op the stream carries
+	} else {
+		id, isChunk := strings.CutPrefix(action, gt3StreamWritePrefix)
+		if !isChunk {
+			id, isChunk = strings.CutPrefix(action, gt3StreamReadPrefix)
 		}
-		// Authorization was decided at open; the stream carries it.
-		return st.account, nil
-	}
-	return g.authorize(ctx, peer, resource, action)
-}
-
-// authorize reproduces the container's pre-gate behavior for ordinary
-// calls. When the router lifted a trace context off the envelope, the
-// decision is recorded as a server.authz span in the caller's trace.
-func (g *gt3AuthGate) authorize(ctx context.Context, peer Peer, resource, action string) (account string, err error) {
-	if g.tracer != nil {
-		asp := g.tracer.StartRemote(trace.RemoteFromContext(ctx), "server.authz")
-		asp.SetPeer(peerKey(peer))
-		defer func() {
-			asp.SetError(err)
-			asp.End()
-		}()
-	}
-	if g.pipeline != nil {
-		return g.pipeline.AuthorizeChain(ctx, peer, resource, action)
-	}
-	if g.engine != nil {
-		req := Request{Subject: peer.Identity, Resource: resource, Action: action}
-		if g.env != nil {
-			req.Time = g.env.Now()
-		} else {
-			req.Time = time.Now()
-		}
-		decision, err := g.engine.Authorize(req)
-		if err != nil {
-			return "", err
-		}
-		if decision != authz.Permit {
-			return "", fmt.Errorf("gsi: %q denied %s", peer.Identity, action)
+		if isChunk {
+			st := g.reg.get(id)
+			if st == nil || st.peerKey != peerKey(peer) {
+				return "", errors.New("gsi: unknown stream denied")
+			}
+			// Authorization was decided at open; the stream carries it.
+			return st.account, nil
 		}
 	}
-	return "", nil
+	authorized, err := g.authorizer.authorize(ctx, peer, resource, action)
+	return authorized.LocalAccount, err
 }

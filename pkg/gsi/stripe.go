@@ -379,7 +379,7 @@ func (g *stripeGroups) abandon(key stripeGroupKey, grp *stripeGroup) bool {
 // repeats cheap), join the group, and either run the group's transfer
 // (last arrival) or park until it finishes. Reports whether the
 // connection is still usable for further exchanges.
-func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, authorizer Engine, groups *stripeGroups, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
+func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, groups *stripeGroups, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
 	bg := context.Background()
 	d := wire.NewDecoder(body)
 	op := d.Str()
@@ -404,16 +404,7 @@ func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg Serve
 		refuse(errors.New("invalid stream op"))
 		return sendGT2Reply(bg, conn, gt2StatusNotFound, []byte("gsi: invalid stream op "+op)) == nil
 	}
-	asp := sp.StartChild("server.authz")
-	exPeer := peer
-	var authErr error
-	if cfg.Pipeline != nil {
-		exPeer, authErr = authorizePipelined(ctx, cfg.Pipeline, peer, op)
-	} else {
-		authErr = authorizeExchange(authorizer, cfg.Environment, peer, op)
-	}
-	asp.SetError(authErr)
-	asp.End()
+	exPeer, authErr := cfg.authorizer.authorize(spanContext(ctx, sp), peer, exchangeResource, op)
 	if authErr != nil {
 		refuse(authErr)
 		return sendGT2Reply(bg, conn, gt2Status(authErr), []byte(authErr.Error())) == nil

@@ -199,7 +199,10 @@ func TestTraceStripedStream(t *testing.T) {
 	}
 
 	// The same trace id on the server covers every lane, every per-lane
-	// authorization decision, and the group's stream span.
+	// authorization decision, and the group's stream span. The lanes end
+	// last, after the group's transfer, so wait for them: the per-lane
+	// handshake spans alone can satisfy a wait on the trace's span total.
+	waitSpans(t, server.Tracer(), gsi.TraceQuery{TraceID: tid, Op: "server.stripe", N: 100}, stripes)
 	srv := waitSpans(t, server.Tracer(), gsi.TraceQuery{TraceID: tid, N: 100}, 2*stripes+1)
 	sops := opCount(srv)
 	if sops["server.stripe"] != stripes {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/gsitransport"
 	"repro/internal/ogsa"
@@ -89,6 +90,17 @@ type DialConfig struct {
 }
 
 // ServeConfig is what a Transport needs to accept sessions.
+//
+// Authorization has one seam per endpoint, resolved by Server.Serve into
+// one of three modes: pipeline (the server's AuthorizationPipeline: CAS
+// assertion, VO ∩ local policy, gridmap, with the mapped account on the
+// handler's Peer), engine (the environment's WithAuthorizer engine,
+// requests stamped with the environment clock), or authenticated-only
+// (no authorization configured: any authenticated peer is permitted).
+// Every exchange, stream open and striped open on both transports is
+// decided by one call into it. The admin surface and the CAS-publish
+// feed require a deciding mode; Serve refuses them authenticated-only.
+// A ServeConfig built outside this package serves authenticated-only.
 type ServeConfig struct {
 	// Context parameterises the acceptor side of handshakes.
 	Context ContextConfig
@@ -97,13 +109,9 @@ type ServeConfig struct {
 	// StreamHandler receives opened streams (Session.OpenStream on the
 	// client side); nil refuses stream opens.
 	StreamHandler StreamHandler
-	// Environment supplies the authorizer and audit plumbing (GT3).
-	Environment *Environment
-	// Pipeline is the chain-aware authorization pipeline; when set it
-	// gates every exchange (CAS assertion, VO ∩ local policy, gridmap)
-	// on both transports and wins over the environment's plain
-	// authorizer.
-	Pipeline *AuthorizationPipeline
+
+	// authorizer is the endpoint's authorization seam (see above).
+	authorizer serverAuthorizer
 
 	// ConfigureContainer, when set, observes the GT3 hosting container
 	// after the exchange service is published and before the listener
@@ -370,7 +378,6 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 	stop := conn.CloseOnDone(ctx)
 	defer stop()
 	peer := conn.Peer()
-	authorizer := authorizerOf(cfg.Environment)
 	tracer := cfg.Tracer
 	var peerDN string
 	if tracer != nil {
@@ -435,7 +442,7 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				sp.SetPeer(peerDN)
 				handshakeSpan(sp)
 			}
-			if !serveGT2Stream(ctx, conn, cfg, peer, authorizer, string(body), rbuf, sp) {
+			if !serveGT2Stream(ctx, conn, cfg, peer, string(body), rbuf, sp) {
 				return
 			}
 			continue
@@ -447,7 +454,7 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				sp.SetPeer(peerDN)
 				handshakeSpan(sp)
 			}
-			if !serveGT2StripedOpen(ctx, conn, cfg, peer, authorizer, groups, body, rbuf, sp) {
+			if !serveGT2StripedOpen(ctx, conn, cfg, peer, groups, body, rbuf, sp) {
 				return
 			}
 			continue
@@ -467,28 +474,15 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 				handshakeSpan(sp)
 				hctx = trace.ContextWithSpan(ctx, sp)
 			}
-			// Authorization: the chain-aware pipeline when configured
-			// (CAS assertion, VO ∩ local policy, gridmap — with the
-			// mapped account surfaced on the handler's Peer), else the
-			// environment's plain engine.
-			exPeer := peer
-			var authErr error
-			asp := sp.StartChild("server.authz")
-			if cfg.Pipeline != nil {
-				exPeer, authErr = authorizePipelined(hctx, cfg.Pipeline, peer, op)
-			} else {
-				authErr = authorizeExchange(authorizer, cfg.Environment, peer, op)
+			// The handler sees the peer as authorized, carrying its
+			// mapped account in pipeline mode.
+			exPeer, herr := cfg.authorizer.authorize(hctx, peer, exchangeResource, op)
+			if herr == nil {
+				payload, herr = cfg.Handler(hctx, exPeer, op, body)
 			}
-			asp.SetError(authErr)
-			asp.End()
-			if authErr != nil {
-				status, payload = gt2Status(authErr), []byte(authErr.Error())
-				sp.SetError(authErr)
-			} else if out, err := cfg.Handler(hctx, exPeer, op, body); err != nil {
-				status, payload = gt2Status(err), []byte(err.Error())
-				sp.SetError(err)
-			} else {
-				payload = out
+			if herr != nil {
+				status, payload = gt2Status(herr), []byte(herr.Error())
+				sp.SetError(herr)
 			}
 			if sp != nil {
 				sp.AddBytes(int64(len(body)))
@@ -506,10 +500,10 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 }
 
 // serveGT2Stream handles one stream open on a GT2 connection: authorize
-// the named op (once, through the pipeline when configured), hand the
-// stream to the StreamHandler, and resynchronize the record stream when
-// the handler returns. Reports whether the connection is still usable.
-func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, authorizer Engine, op string, rbuf *record.Buf, sp *trace.Span) bool {
+// the named op (once per stream), hand the stream to the StreamHandler,
+// and resynchronize the record stream when the handler returns. Reports
+// whether the connection is still usable.
+func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, op string, rbuf *record.Buf, sp *trace.Span) bool {
 	rbuf.Free()
 	if cfg.StreamHandler == nil {
 		err := errors.New("gsi: endpoint does not accept streams")
@@ -523,16 +517,7 @@ func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfi
 		sp.End()
 		return sendGT2Reply(context.Background(), conn, gt2StatusNotFound, []byte(err.Error())) == nil
 	}
-	exPeer := peer
-	var authErr error
-	asp := sp.StartChild("server.authz")
-	if cfg.Pipeline != nil {
-		exPeer, authErr = authorizePipelined(ctx, cfg.Pipeline, peer, op)
-	} else {
-		authErr = authorizeExchange(authorizer, cfg.Environment, peer, op)
-	}
-	asp.SetError(authErr)
-	asp.End()
+	exPeer, authErr := cfg.authorizer.authorize(spanContext(ctx, sp), peer, exchangeResource, op)
 	if authErr != nil {
 		sp.SetError(authErr)
 		sp.End()
@@ -681,31 +666,20 @@ func (s *gt3SignedSession) Peer() Peer { return Peer{} }
 func (s *gt3SignedSession) Close() error { return nil }
 
 func (gt3Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (Endpoint, error) {
-	containerCfg := ogsa.ContainerConfig{
-		Name:          exchangeHandle,
-		Credential:    cfg.Context.Credential,
-		TrustStore:    cfg.Context.TrustStore,
-		Authorizer:    authorizerOf(cfg.Environment),
-		RejectLimited: cfg.Context.RejectLimited,
-		Now:           cfg.Context.Now,
-	}
 	serveCtx, cancel := context.WithCancel(ctx)
-	svc := &handlerService{ctx: serveCtx, h: cfg.Handler, sh: cfg.StreamHandler, tracer: cfg.Tracer}
-	if cfg.Pipeline != nil || cfg.StreamHandler != nil {
-		// The chain gate carries the pipeline (typed-nil guard included:
-		// a nil *AuthorizationPipeline must not become a non-nil
-		// interface) and admits chunk calls on streams their peer opened.
-		svc.reg = newGT3StreamRegistry()
-		containerCfg.ChainAuthorizer = &gt3AuthGate{
-			pipeline: cfg.Pipeline,
-			engine:   authorizerOf(cfg.Environment),
-			env:      cfg.Environment,
-			reg:      svc.reg,
-			tracer:   cfg.Tracer,
-		}
-		containerCfg.Authorizer = nil // the gate reproduces the engine path
-	}
-	container, err := ogsa.NewContainer(containerCfg)
+	svc := &handlerService{ctx: serveCtx, h: cfg.Handler, sh: cfg.StreamHandler, reg: newGT3StreamRegistry(), tracer: cfg.Tracer}
+	// The gate is the container's only authorization step: every call —
+	// exchanges, stream opens, the admin and CAS-sync port types — is
+	// decided by the endpoint's seam, and chunk calls are admitted by
+	// the stream their peer opened.
+	container, err := ogsa.NewContainer(ogsa.ContainerConfig{
+		Name:            exchangeHandle,
+		Credential:      cfg.Context.Credential,
+		TrustStore:      cfg.Context.TrustStore,
+		ChainAuthorizer: &gt3AuthGate{authorizer: cfg.authorizer, reg: svc.reg},
+		RejectLimited:   cfg.Context.RejectLimited,
+		Now:             cfg.Context.Now,
+	})
 	if err != nil {
 		cancel()
 		return nil, err
@@ -732,7 +706,7 @@ type handlerService struct {
 	ctx    context.Context
 	h      Handler
 	sh     StreamHandler
-	reg    *gt3StreamRegistry // nil when the endpoint takes no streams and has no pipeline
+	reg    *gt3StreamRegistry
 	tracer *Tracer
 }
 
@@ -778,7 +752,7 @@ func (s *handlerService) invokeReserved(call *ogsa.Call) ([]byte, error) {
 			return nil, err
 		}
 		return s.openStream(call, op)
-	case s.reg != nil && strings.HasPrefix(call.Op, gt3StreamWritePrefix):
+	case strings.HasPrefix(call.Op, gt3StreamWritePrefix):
 		st := s.reg.get(strings.TrimPrefix(call.Op, gt3StreamWritePrefix))
 		if st == nil {
 			return nil, errors.New("gsi: unknown stream")
@@ -787,7 +761,7 @@ func (s *handlerService) invokeReserved(call *ogsa.Call) ([]byte, error) {
 			return nil, err
 		}
 		return nil, nil
-	case s.reg != nil && strings.HasPrefix(call.Op, gt3StreamReadPrefix):
+	case strings.HasPrefix(call.Op, gt3StreamReadPrefix):
 		id := strings.TrimPrefix(call.Op, gt3StreamReadPrefix)
 		st := s.reg.get(id)
 		if st == nil {
@@ -873,61 +847,113 @@ func (e *gt3Endpoint) Close() error {
 	return e.close()
 }
 
-// --- shared server-side authorization -----------------------------------
+// --- the server-side authorization seam ----------------------------------
 
-func authorizerOf(env *Environment) Engine {
-	if env == nil {
-		return nil
-	}
-	return env.authorizer
+// exchangeResource is the resource every exchange and stream op is
+// authorized against: the exchange service's OGSA handle.
+const exchangeResource = "ogsa:" + exchangeHandle
+
+// authzMode names how an endpoint decides authorization. It is resolved
+// once per endpoint at Serve, never per request.
+type authzMode uint8
+
+const (
+	// authzAuthenticatedOnly: no authorization is configured, so any
+	// authenticated peer is permitted. Admin and CAS-publish endpoints
+	// refuse this mode.
+	authzAuthenticatedOnly authzMode = iota
+	// authzPipeline: the chain-aware AuthorizationPipeline decides and
+	// maps the peer through its gridmap.
+	authzPipeline
+	// authzEngine: the environment's WithAuthorizer engine decides a
+	// subject/resource/action request stamped with the environment clock.
+	authzEngine
+)
+
+// serverAuthorizer is the one server-side authorization seam (Figure 3,
+// step 5): every GT2 exchange, stream open and striped open, and every
+// GT3 call through the container's gate, is decided by one call to
+// authorize. The zero value is authenticated-only.
+type serverAuthorizer struct {
+	mode     authzMode
+	pipeline *AuthorizationPipeline // authzPipeline
+	engine   Engine                 // authzEngine
+	now      func() time.Time       // authzEngine
+	tracer   *Tracer                // GT3: roots server.authz spans
 }
 
-// authorizeExchange runs the environment's authorization engine against
-// one GT2 exchange, mirroring the container's Figure-3 step 5 with the
-// resource named after the exchange handle. The request is stamped with
-// the environment's clock so time-bounded rules never fall back to
-// time.Now inside the engine.
-func authorizeExchange(engine Engine, env *Environment, peer Peer, op string) error {
-	if engine == nil {
-		return nil
+// newServerAuthorizer resolves an endpoint's mode: the pipeline when one
+// is configured, else the environment's engine, else authenticated-only.
+func newServerAuthorizer(env *Environment, pipeline *AuthorizationPipeline, tracer *Tracer) serverAuthorizer {
+	a := serverAuthorizer{tracer: tracer}
+	switch {
+	case pipeline != nil:
+		a.mode, a.pipeline = authzPipeline, pipeline
+	case env != nil && env.authorizer != nil:
+		a.mode, a.engine, a.now = authzEngine, env.authorizer, env.Now
 	}
-	req := Request{
-		Subject:  peer.Identity,
-		Resource: "ogsa:" + exchangeHandle,
-		Action:   op,
-	}
-	if env != nil {
-		req.Time = env.Now()
-	}
-	decision, err := engine.Authorize(req)
-	if err != nil {
-		return &Error{Op: "gsi.Server", Err: err}
-	}
-	if decision != Permit {
-		return &Error{
-			Op:   "gsi.Server",
-			Kind: ErrUnauthorized,
-			Err:  fmt.Errorf("gsi: %q denied %s", peer.Identity, op),
-		}
-	}
-	return nil
+	return a
 }
 
-// authorizePipelined gates one GT2 exchange through the authorization
-// pipeline, returning the peer augmented with its gridmap account on
-// permit and an ErrUnauthorized-classified error on deny.
-func authorizePipelined(ctx context.Context, p *AuthorizationPipeline, peer Peer, op string) (Peer, error) {
-	d, err := p.Authorize(ctx, peer, "ogsa:"+exchangeHandle, op)
-	if err != nil {
-		return peer, &Error{Op: "gsi.Server", Err: err}
+// spanContext returns ctx carrying sp, or ctx itself when sp is nil.
+func spanContext(ctx context.Context, sp *trace.Span) context.Context {
+	if sp == nil {
+		return ctx
 	}
-	if d.Decision != Permit {
-		return peer, &Error{
-			Op:   "gsi.Server",
-			Kind: ErrUnauthorized,
-			Err:  fmt.Errorf("gsi: %q denied %s: %s", peer.Identity, op, d.Reason),
+	return trace.ContextWithSpan(ctx, sp)
+}
+
+// authorize decides whether peer may perform action on resource. On
+// permit it returns the peer carrying its gridmap LocalAccount (pipeline
+// mode); on deny, an ErrUnauthorized-classified error. The decision is
+// recorded as a server.authz span: a child of the span ctx carries (GT2),
+// else continuing the wire trace context ctx carries (GT3).
+func (a *serverAuthorizer) authorize(ctx context.Context, peer Peer, resource, action string) (Peer, error) {
+	var sp *trace.Span
+	if parent := trace.SpanFromContext(ctx); parent != nil {
+		sp = parent.StartChild("server.authz")
+	} else if a.tracer != nil {
+		sp = a.tracer.StartRemote(trace.RemoteFromContext(ctx), "server.authz")
+		sp.SetPeer(peerKey(peer))
+	}
+	peer, err := a.decide(ctx, peer, resource, action)
+	sp.SetError(err)
+	sp.End()
+	return peer, err
+}
+
+func (a *serverAuthorizer) decide(ctx context.Context, peer Peer, resource, action string) (Peer, error) {
+	switch a.mode {
+	case authzPipeline:
+		d, err := a.pipeline.Authorize(ctx, peer, resource, action)
+		if err != nil {
+			return peer, &Error{Op: "gsi.Server", Err: err}
+		}
+		if d.Decision != Permit {
+			return peer, denied(peer, action, ": "+d.Reason)
+		}
+		peer.LocalAccount = d.LocalAccount
+	case authzEngine:
+		decision, err := a.engine.Authorize(Request{
+			Subject:  peer.Identity,
+			Resource: resource,
+			Action:   action,
+			Time:     a.now(),
+		})
+		if err != nil {
+			return peer, &Error{Op: "gsi.Server", Err: err}
+		}
+		if decision != Permit {
+			return peer, denied(peer, action, "")
 		}
 	}
-	peer.LocalAccount = d.LocalAccount
 	return peer, nil
+}
+
+func denied(peer Peer, action, reason string) error {
+	return &Error{
+		Op:   "gsi.Server",
+		Kind: ErrUnauthorized,
+		Err:  fmt.Errorf("gsi: %q denied %s%s", peer.Identity, action, reason),
+	}
 }
