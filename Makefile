@@ -49,6 +49,9 @@ flake-hunt:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGT2DecodeRequest$$' -fuzztime=5s ./pkg/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzGT2DecodeReply$$' -fuzztime=5s ./pkg/gsi
+	$(GO) test -run '^$$' -fuzz '^FuzzStripedOpenBody$$' -fuzztime=5s ./pkg/gsi
+	$(GO) test -run '^$$' -fuzz '^FuzzStripeGrant$$' -fuzztime=5s ./internal/gridftp
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinPayload$$' -fuzztime=5s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelegationRequest$$' -fuzztime=5s ./internal/proxy

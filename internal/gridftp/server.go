@@ -29,10 +29,8 @@ type Server struct {
 	served  int
 	closing bool
 
-	// xmu guards xfers, the striped transfers still collecting their
-	// data connections (keyed by transfer token).
-	xmu   sync.Mutex
-	xfers map[string]*stripeXfer
+	// stripes collects the data connections of striped transfers.
+	stripes gsitransport.Rendezvous
 
 	// tracer, when set via SetTracer, spans every transfer and feeds
 	// the active-transfer registry. Nil disables.
@@ -49,7 +47,6 @@ func NewServer(addr string, store *Store, cred *gridcert.Credential, trust *grid
 		store: store,
 		cred:  cred,
 		trust: trust,
-		xfers: make(map[string]*stripeXfer),
 		listener: gsitransport.NewListener(inner, gss.Config{
 			Credential: cred,
 			TrustStore: trust,

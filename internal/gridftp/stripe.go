@@ -2,15 +2,12 @@ package gridftp
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/gridcert"
-	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
 	"repro/internal/proxy"
@@ -36,19 +33,12 @@ const opJoin = "JOIN"
 const maxTransferStripes = 16
 
 // stripeTokenLen is the transfer token size: 128 unguessable bits.
-const stripeTokenLen = 16
+const stripeTokenLen = gsitransport.StripeTokenLen
 
 // stripeMarker prefixes a GETS/PUTS payload that requests striping
 // (legacy payloads — empty, or the 8-byte PUT size hint — can never
 // collide with the marked lengths).
 const stripeMarker = 'S'
-
-// xferJoinTimeout bounds how long the control goroutine waits for the
-// client's data connections to arrive.
-const xferJoinTimeout = 10 * time.Second
-
-// maxPendingXfers bounds concurrently forming striped transfers.
-const maxPendingXfers = 256
 
 func encodeStripeGetReq(k int) []byte {
 	p := make([]byte, 5)
@@ -89,129 +79,75 @@ func clampStripes(k int) int {
 	return k
 }
 
+// encodeStripeGrant renders a GETS/PUTS grant: the granted stripe
+// count, the transfer size (GET only; zero for PUT) and the transfer
+// token.
+func encodeStripeGrant(granted int, size uint64, token []byte) []byte {
+	p := make([]byte, 12, 12+len(token))
+	binary.BigEndian.PutUint32(p, uint32(granted))
+	binary.BigEndian.PutUint64(p[4:], size)
+	return append(p, token...)
+}
+
+// decodeStripeGrant parses and validates a grant from the server.
+func decodeStripeGrant(p []byte) (granted int, size int64, token []byte, err error) {
+	if len(p) != 12+stripeTokenLen {
+		return 0, 0, nil, errMalformedGrant
+	}
+	granted = int(binary.BigEndian.Uint32(p))
+	if granted < 1 || granted > maxTransferStripes {
+		return 0, 0, nil, errMalformedGrant
+	}
+	return granted, int64(binary.BigEndian.Uint64(p[4:])), p[12:], nil
+}
+
+var errMalformedGrant = errors.New("gridftp: malformed stripe grant")
+
+// encodeJoin renders a JOIN payload: the transfer token and the stripe
+// index.
+func encodeJoin(token []byte, idx int) []byte {
+	return binary.BigEndian.AppendUint32(append([]byte(nil), token...), uint32(idx))
+}
+
+func decodeJoin(p []byte) (token []byte, idx int, ok bool) {
+	if len(p) != stripeTokenLen+4 {
+		return nil, 0, false
+	}
+	return p[:stripeTokenLen], int(binary.BigEndian.Uint32(p[stripeTokenLen:])), true
+}
+
 // --- server side ---------------------------------------------------------
 
-// stripeXfer is one striped transfer forming (or running) on a server:
-// data connections collected by JOINs until all granted stripes
-// arrived. ready closes when the group is complete; done closes when
-// the transfer finished and the data connections belong to their serve
-// goroutines again.
-type stripeXfer struct {
-	identity gridcert.Name
-	token    string
-	conns    []*gsitransport.Conn
-	joined   int
-	failed   bool
-	ready    chan struct{}
-	done     chan struct{}
-}
+// Striped transfers rendezvous through the server's
+// gsitransport.Rendezvous: the control connection opens a group under
+// the client's identity and grants its token, each JOIN binds one data
+// connection to it, and the control goroutine awaits the group, runs
+// the transfer and releases the data connections.
 
-// newXfer registers a pending transfer under a fresh token.
-func (s *Server) newXfer(identity gridcert.Name, granted int) (*stripeXfer, error) {
-	tok, err := gridcrypto.RandomBytes(stripeTokenLen)
-	if err != nil {
-		return nil, err
-	}
-	x := &stripeXfer{
-		identity: identity,
-		token:    string(tok),
-		conns:    make([]*gsitransport.Conn, granted),
-		ready:    make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-	if len(s.xfers) >= maxPendingXfers {
-		return nil, errors.New("gridftp: too many pending striped transfers")
-	}
-	s.xfers[x.token] = x
-	return x, nil
-}
-
-// joinXfer binds one data connection to its pending transfer. The
-// token is the capability; it is additionally bound to the control
-// connection's authenticated identity, so a leaked token is useless
-// without the credential that opened the transfer.
-func (s *Server) joinXfer(token []byte, idx int, identity gridcert.Name, conn *gsitransport.Conn) (*stripeXfer, error) {
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-	x := s.xfers[string(token)]
-	if x == nil || subtle.ConstantTimeCompare([]byte(x.token), token) != 1 {
-		return nil, errors.New("gridftp: unknown transfer token")
-	}
-	if x.identity.String() != identity.String() {
-		return nil, errors.New("gridftp: transfer token bound to another identity")
-	}
-	if idx < 0 || idx >= len(x.conns) || x.conns[idx] != nil {
-		return nil, errors.New("gridftp: bad stripe index")
-	}
-	x.conns[idx] = conn
-	x.joined++
-	if x.joined == len(x.conns) {
-		close(x.ready)
-		delete(s.xfers, x.token)
-	}
-	return x, nil
-}
-
-// abandonXfer fails a transfer whose stripes never all arrived.
-// Reports false when the group completed concurrently — the transfer
-// then runs and the caller must follow the ready path instead.
-func (s *Server) abandonXfer(x *stripeXfer) bool {
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-	select {
-	case <-x.ready:
-		return false
-	default:
-	}
-	x.failed = true
-	delete(s.xfers, x.token)
-	return true
-}
-
-// serveJoin handles a JOIN on a data connection: validate the token,
-// bind the connection to its transfer, and park until the transfer
-// releases it. Reports whether the connection is still usable.
+// serveJoin handles a JOIN on a data connection: bind the connection to
+// its transfer and park until the transfer releases it. Reports whether
+// the connection is still usable.
 func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payload []byte, rctx trace.SpanContext) bool {
-	if len(payload) != stripeTokenLen+4 {
+	token, idx, ok := decodeJoin(payload)
+	if !ok {
 		return conn.Send(encodeReply(opErr, "", []byte("gridftp: malformed JOIN"))) == nil
 	}
 	// The lane span continues the client's per-stripe context: it spans
 	// the stripe's whole tenure in the transfer, join to release.
 	sp := s.tracer.StartRemote(rctx, "gridftp.server.stripe")
 	sp.SetPeer(identity.String())
-	token := payload[:stripeTokenLen]
-	idx := int(binary.BigEndian.Uint32(payload[stripeTokenLen:]))
-	x, err := s.joinXfer(token, idx, identity, conn)
+	x, err := s.stripes.Join(token, identity.String(), idx, "", conn)
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
 		return conn.Send(encodeReply(opErr, "", []byte(err.Error()))) == nil
 	}
-	// From here the connection belongs to the transfer until done: even
-	// on a failed reply it must not be closed out from under it.
+	// From here the connection belongs to the transfer until released:
+	// even on a failed reply it must not be closed out from under it.
 	replyErr := conn.Send(encodeReply(opOK, "", nil))
-	<-x.done
+	ran := x.Released()
 	sp.End()
-	return replyErr == nil && !conn.Broken()
-}
-
-// awaitStripes waits for the client's data connections, abandoning the
-// transfer if they never arrive. Reports whether the transfer is ready
-// to run.
-func (s *Server) awaitStripes(x *stripeXfer) bool {
-	select {
-	case <-x.ready:
-		return true
-	case <-time.After(xferJoinTimeout):
-		if s.abandonXfer(x) {
-			close(x.done) // release any stripes that did join
-			return false
-		}
-		<-x.ready // lost the race with the final JOIN
-		return true
-	}
+	return ran && replyErr == nil && !conn.Broken()
 }
 
 // serveGetStriped answers a striped GET: grant min(k, cap) stripes and
@@ -227,46 +163,46 @@ func (s *Server) serveGetStriped(ctx context.Context, conn *gsitransport.Conn, i
 		sp.End()
 		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 	}
-	granted := clampStripes(k)
-	x, err := s.newXfer(identity, granted)
-	if err != nil {
-		sp.SetError(err)
+	x, ok := s.grantStripes(conn, identity, path, k, uint64(len(data)), sp)
+	if x == nil {
 		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+		return ok
 	}
-	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), granted, sp.Context().TraceID)
-	grant := make([]byte, 4+8+stripeTokenLen)
-	binary.BigEndian.PutUint32(grant, uint32(granted))
-	binary.BigEndian.PutUint64(grant[4:], uint64(len(data)))
-	copy(grant[12:], x.token)
-	if err := conn.Send(encodeReply(opOK, path, grant)); err != nil {
-		if s.abandonXfer(x) {
-			close(x.done)
-		} else {
-			s.runGetStripes(ctx, x, data, sp, xfer)
-			return false
-		}
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-		return false
-	}
-	if !s.awaitStripes(x) {
-		err := errors.New("gridftp: stripes never joined")
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	s.runGetStripes(ctx, x, data, sp, xfer)
+	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), len(x.Conns()), sp.Context().TraceID)
+	s.runGetStripes(ctx, x.Conns(), data, sp, xfer)
+	x.Release()
 	return true
 }
 
-func (s *Server) runGetStripes(ctx context.Context, x *stripeXfer, data []byte, sp *trace.Span, xfer *trace.Transfer) {
-	defer close(x.done)
+// grantStripes opens a group of min(k, cap) stripes under identity,
+// sends the grant (with the transfer size, for a GET) on the control
+// connection and awaits the JOINs. It returns the group ready to run,
+// or nil once it has answered the control connection itself, with ok
+// reporting whether that connection is still usable.
+func (s *Server) grantStripes(conn *gsitransport.Conn, identity gridcert.Name, path string, k int, size uint64, sp *trace.Span) (x *gsitransport.StripeGroup, ok bool) {
+	granted := clampStripes(k)
+	x, err := s.stripes.Open(identity.String(), granted, "")
+	if err != nil {
+		sp.SetError(err)
+		return nil, conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+	}
+	if err := conn.Send(encodeReply(opOK, path, encodeStripeGrant(granted, size, x.Token()))); err != nil {
+		x.Release()
+		sp.SetError(err)
+		return nil, false
+	}
+	if !x.Await() {
+		err := errors.New("gridftp: stripes never joined")
+		sp.SetError(err)
+		return nil, conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+	}
+	return x, true
+}
+
+func (s *Server) runGetStripes(ctx context.Context, conns []*gsitransport.Conn, data []byte, sp *trace.Span, xfer *trace.Transfer) {
 	defer xfer.End()
 	defer sp.End()
-	w := gsitransport.NewStripedWriter(ctx, x.conns)
+	w := gsitransport.NewStripedWriter(ctx, conns)
 	if _, err := w.Write(data); err != nil {
 		sp.SetError(err)
 		w.CloseWithError(err.Error())
@@ -288,37 +224,19 @@ func (s *Server) servePutStriped(ctx context.Context, conn *gsitransport.Conn, i
 		sp.End()
 		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 	}
-	granted := clampStripes(k)
-	x, err := s.newXfer(identity, granted)
-	if err != nil {
-		sp.SetError(err)
+	x, ok := s.grantStripes(conn, identity, path, k, 0, sp)
+	if x == nil {
 		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+		return ok
 	}
-	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), granted, sp.Context().TraceID)
+	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), len(x.Conns()), sp.Context().TraceID)
 	done := func(err error) {
 		sp.SetError(err)
 		sp.End()
 		xfer.End()
 	}
-	grant := make([]byte, 4+stripeTokenLen)
-	binary.BigEndian.PutUint32(grant, uint32(granted))
-	copy(grant[4:], x.token)
-	if err := conn.Send(encodeReply(opOK, path, grant)); err != nil {
-		if s.abandonXfer(x) {
-			close(x.done)
-		} else {
-			s.runPutStripes(ctx, x, hint)
-		}
-		done(err)
-		return false
-	}
-	if !s.awaitStripes(x) {
-		err := errors.New("gridftp: stripes never joined")
-		done(err)
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	assembled, err := s.runPutStripes(ctx, x, hint)
+	assembled, err := s.runPutStripes(ctx, x.Conns(), hint)
+	x.Release()
 	if err != nil {
 		done(err)
 		var peerErr *record.PeerError
@@ -337,25 +255,15 @@ func (s *Server) servePutStriped(ctx context.Context, conn *gsitransport.Conn, i
 	return conn.Send(encodeReply(opOK, path, nil)) == nil
 }
 
-func (s *Server) runPutStripes(ctx context.Context, x *stripeXfer, hint uint64) ([]byte, error) {
-	defer close(x.done)
+func (s *Server) runPutStripes(ctx context.Context, conns []*gsitransport.Conn, hint uint64) ([]byte, error) {
 	prealloc := uint64(1 << 20)
 	if hint > prealloc {
 		prealloc = min(hint, uint64(maxPutPrealloc))
 	}
-	r := gsitransport.NewStripedReader(ctx, x.conns, 0)
+	r := gsitransport.NewStripedReader(ctx, conns, 0)
 	data, err := r.ReadAll(int(prealloc))
-	if err != nil {
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			r.Join() // clean abort: every stripe resynchronized
-		} else {
-			r.Abort()
-		}
-		return nil, err
-	}
-	r.Join()
-	return data, nil
+	r.Drain() // resynchronizes every stripe, or aborts the transfer
+	return data, err
 }
 
 // --- client side ---------------------------------------------------------
@@ -365,9 +273,6 @@ func (s *Server) runPutStripes(ctx context.Context, x *stripeXfer, hint uint64) 
 // pending control-connection verdict (the server's join-timeout ERR)
 // is consumed so the session stays synchronized.
 func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsitransport.Conn, []*trace.Span, error) {
-	if granted < 1 || granted > maxTransferStripes || len(token) != stripeTokenLen {
-		return nil, nil, errors.New("gridftp: malformed stripe grant")
-	}
 	var (
 		conns []*gsitransport.Conn
 		lanes []*trace.Span // per-stripe children of sp; nil entries never occur
@@ -403,10 +308,7 @@ func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsit
 			return fail(err)
 		}
 		conns = append(conns, dc)
-		payload := make([]byte, stripeTokenLen+4)
-		copy(payload, token)
-		binary.BigEndian.PutUint32(payload[stripeTokenLen:], uint32(i))
-		msg, err := encodeCmd(opJoin, "", traceSuffix(lane, payload))
+		msg, err := encodeCmd(opJoin, "", traceSuffix(lane, encodeJoin(token, i)))
 		if err != nil {
 			return fail(err)
 		}
@@ -473,32 +375,19 @@ func (g *StripedGetReader) finishTrace() {
 }
 
 // Close drains any unread remainder, reaps the stripe readers, and
-// closes the data connections (they are transfer-scoped).
+// closes the data connections (they are transfer-scoped). A failure
+// Read already returned is not reported again.
 func (g *StripedGetReader) Close() error {
 	defer g.finishTrace()
-	var drainErr error
-	if g.err == nil {
-		var scratch [4096]byte
-		for {
-			_, err := g.r.Read(scratch[:])
-			if err == io.EOF {
-				g.r.Join()
-				break
-			}
-			if err != nil {
-				g.err = err
-				drainErr = err
-				break
-			}
-		}
-	}
-	if g.err != nil {
-		g.r.Abort()
-	}
+	err := g.r.Drain()
 	for _, dc := range g.conns {
 		dc.Close()
 	}
-	return drainErr
+	if g.err != nil {
+		return nil
+	}
+	g.err = err
+	return err
 }
 
 // GetStripedReader starts a striped GET of path over up to stripes
@@ -515,12 +404,11 @@ func (c *Client) GetStripedReader(path string, stripes int) (*StripedGetReader, 
 	if err != nil {
 		return fail(err)
 	}
-	if len(grant) != 4+8+stripeTokenLen {
-		return fail(errors.New("gridftp: malformed stripe grant"))
+	granted, size, token, err := decodeStripeGrant(grant)
+	if err != nil {
+		return fail(err)
 	}
-	granted := int(binary.BigEndian.Uint32(grant))
-	size := int64(binary.BigEndian.Uint64(grant[4:12]))
-	conns, lanes, err := c.dialStripes(granted, grant[12:], sp)
+	conns, lanes, err := c.dialStripes(granted, token, sp)
 	if err != nil {
 		return fail(err)
 	}
@@ -651,11 +539,11 @@ func (c *Client) PutStripedWriter(path string, stripes int, sizeHint int64) (*St
 	if err != nil {
 		return fail(err)
 	}
-	if len(grant) != 4+stripeTokenLen {
-		return fail(errors.New("gridftp: malformed stripe grant"))
+	granted, _, token, err := decodeStripeGrant(grant)
+	if err != nil {
+		return fail(err)
 	}
-	granted := int(binary.BigEndian.Uint32(grant))
-	conns, lanes, err := c.dialStripes(granted, grant[4:], sp)
+	conns, lanes, err := c.dialStripes(granted, token, sp)
 	if err != nil {
 		return fail(err)
 	}

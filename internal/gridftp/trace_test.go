@@ -56,7 +56,7 @@ func TestStripedGetTracePropagation(t *testing.T) {
 		t.Fatalf("GetStriped returned %d bytes, want %d", len(got), len(payload))
 	}
 
-	roots := clientTracer.Recorder().Snapshot(trace.Query{Op: "gridftp.get"})
+	roots := waitSpans(t, clientTracer, trace.Query{Op: "gridftp.get"}, 1)
 	if len(roots) != 1 {
 		t.Fatalf("client recorded %d gridftp.get roots, want 1", len(roots))
 	}

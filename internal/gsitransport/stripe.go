@@ -2,11 +2,15 @@ package gsitransport
 
 import (
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"time"
 
+	"repro/internal/gridcrypto"
 	"repro/internal/record"
 )
 
@@ -240,8 +244,17 @@ func (r *StripedReader) runStripe(ctx context.Context, c *Conn) {
 			r.cond.Wait()
 		}
 		if r.err != nil {
+			// A peer abort seen on another stripe ends the transfer, but
+			// this stripe's own ERROR record is still in flight: read up
+			// to it so the connection stays synchronized. Any other
+			// failure leaves the connections to Abort.
+			var peerErr *record.PeerError
+			more := errors.As(r.err, &peerErr) && perr == nil && typ == record.ChunkData
 			r.mu.Unlock()
 			buf.Free()
+			if more {
+				continue
+			}
 			return
 		}
 		if aerr := r.asm.Accept(view, buf); aerr != nil {
@@ -333,6 +346,31 @@ func (r *StripedReader) ReadAll(sizeHint int) ([]byte, error) {
 	}
 }
 
+// Drain consumes the transfer to its terminal record and reaps the
+// stripe goroutines: Join when every stripe resynchronized (a clean
+// end, or the peer's ERROR record), Abort otherwise. Returns nil on a
+// clean end, the *record.PeerError on a peer abort, and otherwise the
+// failure that left the connections unusable. Safe after Read or
+// ReadAll already reached the end.
+func (r *StripedReader) Drain() error {
+	var scratch [4096]byte
+	var err error
+	for err == nil {
+		_, err = r.Read(scratch[:])
+	}
+	var peerErr *record.PeerError
+	switch {
+	case err == io.EOF:
+		r.Join()
+		return nil
+	case errors.As(err, &peerErr):
+		r.Join()
+	default:
+		r.Abort()
+	}
+	return err
+}
+
 // Join waits for every stripe goroutine to finish after a clean read to
 // EOF, leaving the connections reusable.
 func (r *StripedReader) Join() {
@@ -361,4 +399,177 @@ func (r *StripedReader) Abort() {
 	r.mu.Lock()
 	r.asm.Release()
 	r.mu.Unlock()
+}
+
+// --- stripe rendezvous ----------------------------------------------------
+
+// A server collects the K connections of one striped transfer through a
+// Rendezvous. The owner — GridFTP's control connection, or the facade's
+// stripe 0 — opens a group and hands the client its token. Every other
+// connection Joins with the token, answers the client, and parks in
+// Released. Once all parked, the owner's Await returns; the owner runs
+// the transfer and calls Release. A stripe counts only once parked, so
+// the transfer's first record never overtakes its join reply.
+
+// StripeTokenLen is the size of a group token: 128 unguessable bits.
+const StripeTokenLen = 16
+
+// maxFormingGroups bounds the groups forming at once, so a hostile
+// peer cannot park unbounded serve goroutines.
+const maxFormingGroups = 256
+
+// joinTimeout bounds how long an owner waits for its stripes.
+const joinTimeout = 10 * time.Second
+
+var (
+	errTooManyGroups = errors.New("gsitransport: too many forming stripe groups")
+	errUnknownToken  = errors.New("gsitransport: unknown transfer token")
+	errOtherOwner    = errors.New("gsitransport: transfer token bound to another identity")
+	errTagMismatch   = errors.New("gsitransport: stripe disagrees within group")
+	errStripeIndex   = errors.New("gsitransport: bad or duplicate stripe index")
+)
+
+// Rendezvous is a server's registry of forming stripe groups. The zero
+// value is ready to use.
+type Rendezvous struct {
+	mu      sync.Mutex
+	forming []*StripeGroup
+}
+
+// StripeGroup is one striped transfer forming or running on a server.
+type StripeGroup struct {
+	rv    *Rendezvous
+	token []byte
+	owner string
+	tag   string
+
+	conns     []*Conn // guarded by rv.mu until ready
+	parked    int     // guarded by rv.mu
+	withdrawn bool    // guarded by rv.mu: abandoned before ready
+
+	ready chan struct{} // closed when every stripe parked
+	done  chan struct{} // closed by Release
+	once  sync.Once
+	ran   bool // set by Await before Release; read after done closes
+}
+
+// Open starts a group of count (≥ 1) stripes for the identity owner,
+// under a token minted here. Joining stripes must name the same owner
+// and tag (the facade's stream op).
+func (rv *Rendezvous) Open(owner string, count int, tag string) (*StripeGroup, error) {
+	token, err := gridcrypto.RandomBytes(StripeTokenLen)
+	if err != nil {
+		return nil, err
+	}
+	g := &StripeGroup{
+		rv:    rv,
+		token: token,
+		owner: owner,
+		tag:   tag,
+		conns: make([]*Conn, count),
+		ready: make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	if len(rv.forming) >= maxFormingGroups {
+		return nil, errTooManyGroups
+	}
+	rv.forming = append(rv.forming, g)
+	return g, nil
+}
+
+// Join binds conn as stripe idx of the group token names. The token is
+// bound to the owner's identity, so a leaked token is useless without
+// the credential that opened the group.
+func (rv *Rendezvous) Join(token []byte, owner string, idx int, tag string, conn *Conn) (*StripeGroup, error) {
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	var g *StripeGroup
+	for _, f := range rv.forming {
+		// Every token is compared in full: timing says nothing about
+		// which bytes of a guess matched.
+		if subtle.ConstantTimeCompare(f.token, token) == 1 {
+			g = f
+		}
+	}
+	switch {
+	case g == nil:
+		return nil, errUnknownToken
+	case g.owner != owner:
+		return nil, errOtherOwner
+	case g.tag != tag:
+		return nil, errTagMismatch
+	case idx < 0 || idx >= len(g.conns) || g.conns[idx] != nil:
+		return nil, errStripeIndex
+	}
+	g.conns[idx] = conn
+	return g, nil
+}
+
+func (rv *Rendezvous) remove(g *StripeGroup) {
+	rv.forming = slices.DeleteFunc(rv.forming, func(f *StripeGroup) bool { return f == g })
+}
+
+// Token is the group's capability, for the owner to hand the client.
+func (g *StripeGroup) Token() []byte { return g.token }
+
+// Conns are the group's connections by stripe index, complete once
+// Await reported true.
+func (g *StripeGroup) Conns() []*Conn { return g.conns }
+
+// Await waits for every stripe to park and reports true; the owner then
+// runs the transfer over Conns and calls Release. After the join
+// timeout the group is abandoned and its stripes released, unless the
+// last stripe parked at the same moment: then the transfer runs.
+func (g *StripeGroup) Await() bool {
+	timer := time.NewTimer(joinTimeout)
+	defer timer.Stop()
+	select {
+	case <-g.ready:
+	case <-timer.C:
+		if g.abandon() {
+			g.Release()
+			return false
+		}
+	}
+	g.ran = true
+	return true
+}
+
+// abandon withdraws a group that is not ready, so no join or park can
+// complete it. Reports false when it was ready first.
+func (g *StripeGroup) abandon() bool {
+	g.rv.mu.Lock()
+	defer g.rv.mu.Unlock()
+	select {
+	case <-g.ready:
+		return false
+	default:
+	}
+	g.withdrawn = true
+	g.rv.remove(g)
+	return true
+}
+
+// Release ends the owner's hold: a group not yet ready is withdrawn, and
+// every parked stripe returns from Released.
+func (g *StripeGroup) Release() {
+	g.abandon()
+	g.once.Do(func() { close(g.done) })
+}
+
+// Released parks a joined stripe, once its join reply went out, until
+// the owner releases the group. It reports whether the transfer ran;
+// false means the group was abandoned.
+func (g *StripeGroup) Released() bool {
+	g.rv.mu.Lock()
+	g.parked++
+	if g.parked == len(g.conns) && !g.withdrawn {
+		close(g.ready)
+		g.rv.remove(g)
+	}
+	g.rv.mu.Unlock()
+	<-g.done
+	return g.ran
 }

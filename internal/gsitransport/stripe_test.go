@@ -207,3 +207,34 @@ func TestStripedDeadStripeDetected(t *testing.T) {
 		t.Fatal("writer did not notice the dead stripe")
 	}
 }
+
+// Drain after a peer abort returns the peer's *record.PeerError and
+// joins rather than aborts: every stripe read its ERROR record, so the
+// connections stay synchronized for further traffic.
+func TestStripedDrainPeerAbortKeepsConns(t *testing.T) {
+	creds := newCreds(t)
+	clients, servers := stripedPairs(t, creds, 2)
+	defer func() {
+		for _, c := range append(clients, servers...) {
+			c.Close()
+		}
+	}()
+	r := NewStripedReader(nil, servers, 0)
+	w := NewStripedWriter(nil, clients)
+	if _, err := w.Write(make([]byte, 3*record.DefaultChunkSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CloseWithError("sender gave up"); err != nil {
+		t.Fatal(err)
+	}
+	var peerErr *record.PeerError
+	if err := r.Drain(); !errors.As(err, &peerErr) || peerErr.Msg != "sender gave up" {
+		t.Fatalf("Drain = %v, want the peer's abort", err)
+	}
+	for i := range clients {
+		go clients[i].Send([]byte("next"))
+		if got, err := servers[i].Receive(); err != nil || string(got) != "next" {
+			t.Fatalf("stripe %d after drain: %q, %v", i, got, err)
+		}
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/authz"
 	"repro/internal/cas"
 	"repro/internal/gridcert"
-	"repro/internal/gss"
 	"repro/internal/ogsa"
 	"repro/internal/trace"
 )
@@ -551,26 +550,6 @@ func chainNotAfter(peer Peer, leaf *Certificate) time.Time {
 	}
 	return notAfter
 }
-
-// AuthorizeChain implements ogsa.ChainAuthorizer, adapting the pipeline
-// to the container's Figure-3 step-5 hook: a non-Permit decision comes
-// back as an ErrUnauthorized-classified error.
-func (p *AuthorizationPipeline) AuthorizeChain(ctx context.Context, peer gss.Peer, resource, action string) (string, error) {
-	d, err := p.Authorize(ctx, peer, resource, action)
-	if err != nil {
-		return "", err
-	}
-	if d.Decision != Permit {
-		return "", &Error{
-			Op:   "gsi.AuthorizationPipeline",
-			Kind: ErrUnauthorized,
-			Err:  fmt.Errorf("gsi: %q denied %s on %s: %s", d.Identity, action, resource, d.Reason),
-		}
-	}
-	return d.LocalAccount, nil
-}
-
-var _ ogsa.ChainAuthorizer = (*AuthorizationPipeline)(nil)
 
 // --- the sharded decision cache ----------------------------------------
 

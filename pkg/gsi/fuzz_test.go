@@ -43,3 +43,26 @@ func FuzzGT2DecodeReply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStripedOpenBody covers the stream.sopen body a server decodes:
+// an accepted body opens a group of 2…maxStripes stripes, or joins one
+// with a full token at an index in 1…maxStripes-1.
+func FuzzStripedOpenBody(f *testing.F) {
+	token := bytes.Repeat([]byte{0x5A}, 16)
+	f.Add(encodeStripedOpen(stripedOpen{op: "bulk", n: 4}))
+	f.Add(encodeStripedOpen(stripedOpen{op: "bulk", token: token, n: 3}))
+	f.Add(encodeStripedOpen(stripedOpen{op: "gsi.__stream.sopen", n: 2}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := decodeStripedOpen(b)
+		if err != nil {
+			return
+		}
+		if req.op == "" || req.n < 1 || req.n > maxStripes || (len(req.token) != 0 && len(req.token) != 16) {
+			t.Fatalf("accepted %+v", req)
+		}
+		if !bytes.Equal(encodeStripedOpen(req), b) {
+			t.Fatalf("round trip diverged for %x", b)
+		}
+	})
+}

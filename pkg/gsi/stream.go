@@ -484,6 +484,8 @@ type gt3ServerStream struct {
 	dead     chan struct{}
 	deadOnce sync.Once
 
+	halvesEnded atomic.Int32 // see endHalf
+
 	ctx    context.Context // serve lifetime
 	active int64           // unix nanos of last chunk call (atomic via mutex below)
 	actMu  sync.Mutex
@@ -510,8 +512,14 @@ func (s *gt3ServerStream) abandon() {
 	s.deadOnce.Do(func() { close(s.dead) })
 }
 
-// acceptIn processes one client chunk record.
-func (s *gt3ServerStream) acceptIn(rec []byte) error {
+// endHalf records that one direction delivered its terminal record and
+// reports whether both have. The stream id retires only then: a client
+// that read the server half to EOF still sends its closing FIN under it.
+func (s *gt3ServerStream) endHalf() bool { return s.halvesEnded.Add(1) == 2 }
+
+// acceptIn processes one client chunk record and reports whether it
+// terminated the client half.
+func (s *gt3ServerStream) acceptIn(rec []byte) (bool, error) {
 	s.touch()
 	s.inMu.Lock()
 	defer s.inMu.Unlock()
@@ -521,12 +529,12 @@ func (s *gt3ServerStream) acceptIn(rec []byte) error {
 		if errors.As(err, &peerErr) {
 			// Clean client abort: surface to the handler as a read error.
 			s.inW.CloseWithError(peerErr)
-			return nil
+			return true, nil
 		}
-		return err
+		return false, err
 	}
 	if fin {
-		return s.inW.Close()
+		return true, s.inW.Close()
 	}
 	if len(payload) > 0 {
 		// A handler that returned early closed the read end; remaining
@@ -534,11 +542,11 @@ func (s *gt3ServerStream) acceptIn(rec []byte) error {
 		if _, err := s.inW.Write(payload); err != nil && !errors.Is(err, io.ErrClosedPipe) {
 			var perr *record.PeerError
 			if !errors.As(err, &perr) {
-				return err
+				return false, err
 			}
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // nextOut blocks for the next server chunk record.

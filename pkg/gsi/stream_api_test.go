@@ -282,3 +282,49 @@ func TestStreamSignedRefused(t *testing.T) {
 		t.Fatal("signed session accepted a stream")
 	}
 }
+
+// A client may read the server half to EOF and then Close without
+// CloseWrite: Close sends the closing FIN itself. Both transports must
+// end such a stream cleanly — the server retires a GT3 stream id only
+// once both halves ended, so that FIN still finds its stream.
+func TestStreamCloseAfterReadToEOF(t *testing.T) {
+	cases := []struct {
+		transport  gsi.Transport
+		closeWrite bool // CloseWrite before reading
+	}{
+		{gsi.TransportGT2(), false},
+		{gsi.TransportGT2(), true},
+		{gsi.TransportGT3(), false},
+		{gsi.TransportGT3(), true},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/closeWrite=%v", tc.transport, tc.closeWrite), func(t *testing.T) {
+			store, client, addr, done := streamWorld(t, tc.transport)
+			defer done()
+			ctx := context.Background()
+			want := "read me to the end"
+			store.mu.Lock()
+			store.files["/data/r"] = []byte(want)
+			store.mu.Unlock()
+			st, err := client.OpenStream(ctx, addr, "download:/data/r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.closeWrite {
+				if err := st.CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := io.ReadAll(st)
+			if err != nil || string(got) != want {
+				t.Fatalf("read %q, %v; want %q", got, err, want)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatalf("Close after reading to EOF: %v", err)
+			}
+			if out, err := client.Exchange(ctx, addr, "echo", []byte("after")); err != nil || string(out) != "after" {
+				t.Fatalf("exchange after the stream: %q, %v", out, err)
+			}
+		})
+	}
+}

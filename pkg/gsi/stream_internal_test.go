@@ -3,9 +3,12 @@ package gsi
 import (
 	"context"
 	"errors"
+	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fakeCloseStream is a Stream whose Close returns a canned error.
@@ -103,4 +106,64 @@ func TestOwnedStreamConcurrentClose(t *testing.T) {
 	if st.closes.Load() != 1 || se.closes.Load() != 1 {
 		t.Fatalf("close counts: stream %d session %d", st.closes.Load(), se.closes.Load())
 	}
+}
+
+// The GT3 gate admits a chunk call only under a live stream id that the
+// same peer opened: an unknown id, another peer's id and an id retired
+// after both halves ended are all denied.
+func TestGT3ChunkGate(t *testing.T) {
+	w := newCredmanWorld(t)
+	bob, err := w.ca.NewEntity(MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := w.env.NewServer(w.host, WithTransport(TransportGT3()),
+		WithStreamHandler(func(ctx context.Context, peer Peer, op string, st Stream) error {
+			_, err := io.WriteString(st, "done")
+			return err
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	ep, err := server.Serve(ctx, "127.0.0.1:0", func(ctx context.Context, peer Peer, op string, body []byte) ([]byte, error) {
+		return body, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	session := func(cred *Credential) *gt3Session {
+		client, err := w.env.NewClient(cred, WithTransport(TransportGT3()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := client.Connect(ctx, ep.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.(*gt3Session)
+	}
+	alice, mallory := session(w.alice), session(bob)
+	st, err := alice.OpenStream(ctx, "read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.(*gt3Stream).id
+	denied := func(who *gt3Session, id, what string) {
+		t.Helper()
+		if _, err := who.call(ctx, gt3StreamWritePrefix+id, nil); err == nil || !strings.Contains(err.Error(), "unknown stream denied") {
+			t.Fatalf("%s: chunk call answered %v, want denied", what, err)
+		}
+	}
+	denied(alice, "no-such-stream", "unknown id")
+	denied(mallory, id, "another peer's id")
+	if _, err := io.ReadAll(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close after reading to EOF: %v", err)
+	}
+	denied(alice, id, "retired id")
 }

@@ -1,16 +1,13 @@
 package gsi
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/record"
 	"repro/internal/trace"
@@ -28,24 +25,46 @@ import (
 // stripe that dies mid-flight is always an error, never a silently
 // truncated transfer.
 
-// stripedOpenOp binds one session into a striped stream. Its body
-// carries (op, group id, stripe index, stripe count); the server
-// authorizes op per stripe and collects the group's connections until
-// all count stripes arrived, then runs the StreamHandler over them.
+// stripedOpenOp binds one session into a striped stream; its body is a
+// stripedOpen. The server authorizes the op on every stripe. Stripe 0
+// opens a group of the K-1 other stripes in the endpoint's
+// gsitransport.Rendezvous, and its OK reply carries the group token;
+// stripes 1…K-1 join with that token. Once all joined, stripe 0 runs
+// the StreamHandler over the K connections.
 const stripedOpenOp = reservedOpPrefix + "stream.sopen"
 
 // maxStripes bounds the stripe count a client may request and a server
 // will grant.
 const maxStripes = 16
 
-// stripeJoinTimeout bounds how long a server-side stripe waits for the
-// rest of its group: a client that dies between opens must not park
-// serve goroutines forever.
-const stripeJoinTimeout = 10 * time.Second
+// stripedOpen is a decoded stream.sopen body. Stripe 0 sends no token
+// and n = the stripe count; stripes 1…K-1 send the token stripe 0
+// received and n = their stripe index.
+type stripedOpen struct {
+	op    string
+	token []byte
+	n     int
+}
 
-// maxStripeGroups bounds concurrently forming groups per endpoint so a
-// hostile peer cannot park unbounded serve goroutines.
-const maxStripeGroups = 256
+func encodeStripedOpen(req stripedOpen) []byte {
+	return wire.NewEncoder().Str(req.op).Bytes(req.token).U32(uint32(req.n)).Finish()
+}
+
+// decodeStripedOpen parses and validates a stream.sopen body.
+func decodeStripedOpen(body []byte) (stripedOpen, error) {
+	d := wire.NewDecoder(body)
+	req := stripedOpen{op: d.Str(), token: d.Bytes(), n: int(d.U32())}
+	opening := len(req.token) == 0
+	switch {
+	case d.Done() != nil,
+		opening && (req.n < 2 || req.n > maxStripes),
+		!opening && (len(req.token) != gsitransport.StripeTokenLen || req.n < 1 || req.n >= maxStripes):
+		return stripedOpen{}, errors.New("gsi: malformed striped open")
+	case req.op == "" || strings.HasPrefix(req.op, reservedOpPrefix):
+		return stripedOpen{}, errors.New("gsi: invalid stream op " + req.op)
+	}
+	return req, nil
+}
 
 // OpenStripedStream opens a stream for op fanned over the WithStripes
 // stripe count: it checks that many sessions out (from the pool on a
@@ -70,10 +89,6 @@ func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opt
 	if s.transport.String() != "gt2" {
 		return nil, opErr(opName, fmt.Errorf("%w: striping requires the GT2 transport", errStreamsUnsupported))
 	}
-	group, err := gridcrypto.RandomBytes(16)
-	if err != nil {
-		return nil, opErr(opName, err)
-	}
 	k := s.stripes
 	// One root span covers the whole transfer; each stripe gets a lane
 	// child whose context crosses on that stripe's open, so the server's
@@ -89,7 +104,8 @@ func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opt
 		owners  []Session     // checkouts to release at Close
 		members []*gt2Session // sessions locked and bound into the group
 	)
-	cleanup := func() {
+	fail := func(err error) (Stream, error) {
+		sp.SetError(err)
 		// Members are mid-group on the server: break their connections so
 		// the server's group wait fails fast and the pool discards them
 		// instead of parking half-open stripes.
@@ -104,7 +120,10 @@ func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opt
 			lane.End()
 		}
 		sp.End()
+		return nil, opErr(opName, err)
 	}
+	// Stripe 0 opens the group; the rest join with the token it got.
+	req := stripedOpen{op: op, n: k}
 	for i := 0; i < k; i++ {
 		lctx := ctx
 		var lane *trace.Span
@@ -115,31 +134,31 @@ func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opt
 		}
 		sess, err := c.Connect(lctx, endpoint, opts...)
 		if err != nil {
-			sp.SetError(err)
-			cleanup()
-			return nil, opErr(opName, err)
+			return fail(err)
 		}
 		owners = append(owners, sess)
 		g := gt2SessionOf(sess)
 		if g == nil {
-			err := fmt.Errorf("%w: striping requires GT2 sessions", errStreamsUnsupported)
-			sp.SetError(err)
-			cleanup()
-			return nil, opErr(opName, err)
+			return fail(fmt.Errorf("%w: striping requires GT2 sessions", errStreamsUnsupported))
 		}
 		lane.SetPeer(peerDNOf(g.conn.Peer()))
-		body := wire.NewEncoder().Str(op).Bytes(group).U32(uint32(i)).U32(uint32(k)).Finish()
+		if i > 0 {
+			req.n = i
+		}
 		g.mu.Lock()
-		payload, buf, err := g.roundTrip(lctx, stripedOpenOp, body)
+		payload, buf, err := g.roundTrip(lctx, stripedOpenOp, encodeStripedOpen(req))
 		if err != nil {
 			g.mu.Unlock()
-			sp.SetError(err)
-			cleanup()
-			return nil, opErr(opName, err)
+			return fail(err)
 		}
-		_ = payload
-		buf.Free()
 		members = append(members, g)
+		if i == 0 {
+			req.token = bytes.Clone(payload)
+		}
+		buf.Free()
+		if len(req.token) != gsitransport.StripeTokenLen {
+			return fail(errors.New("gsi: malformed stripe group token"))
+		}
 	}
 	conns := make([]*gsitransport.Conn, k)
 	for i, m := range members {
@@ -214,18 +233,11 @@ func (g *gt2StripedStream) Close() error {
 		return nil
 	}
 	firstErr := g.w.Close()
-	if err := drainStriped(g.r); err != nil {
-		var peerErr *record.PeerError
-		if !errors.As(err, &peerErr) {
-			if firstErr == nil {
-				firstErr = err
-			}
-			g.r.Abort()
-		} else {
-			g.r.Join()
-		}
-	} else {
-		g.r.Join()
+	// A peer abort already reached Read; only a stripe that could not
+	// resynchronize fails Close.
+	var peerErr *record.PeerError
+	if err := g.r.Drain(); err != nil && !errors.As(err, &peerErr) && firstErr == nil {
+		firstErr = err
 	}
 	for _, m := range g.members {
 		m.mu.Unlock()
@@ -236,22 +248,6 @@ func (g *gt2StripedStream) Close() error {
 		}
 	}
 	return streamErr(firstErr)
-}
-
-// drainStriped consumes a striped reader to its clean end. A peer
-// abort (ERROR record) returns the *record.PeerError with every
-// stripe already resynchronized.
-func drainStriped(r *gsitransport.StripedReader) error {
-	var scratch [4096]byte
-	for {
-		_, err := r.Read(scratch[:])
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // serverStripedStream is the handler-facing Stream of a striped group.
@@ -277,189 +273,89 @@ func (s *serverStripedStream) CloseWrite() error { return streamErr(s.w.Close())
 func (s *serverStripedStream) Close() error      { return streamErr(s.w.Close()) }
 func (s *serverStripedStream) Peer() Peer        { return s.peer }
 
-// --- server-side stripe group registry ----------------------------------
-
-// stripeGroupKey binds a forming group to the authenticated peer that
-// opens it: stripes under one group id must all arrive from the same
-// identity.
-type stripeGroupKey struct {
-	peer string
-	id   string
-}
-
-// stripeGroup is one striped stream forming (or running) on a server:
-// connections indexed by stripe, collected until count arrive. started
-// closes when the group is complete; done closes when the transfer —
-// handler plus resynchronization — has finished and the connections
-// belong to their serve loops again.
-type stripeGroup struct {
-	op      string
-	peer    Peer
-	count   int
-	conns   []*gsitransport.Conn
-	joined  int
-	failed  bool
-	started chan struct{}
-	done    chan struct{}
-}
-
-// stripeGroups is the per-endpoint registry of forming groups, created
-// by gt2Transport.Serve and shared by its connection goroutines.
-type stripeGroups struct {
-	mu sync.Mutex
-	m  map[stripeGroupKey]*stripeGroup
-}
-
-func newStripeGroups() *stripeGroups {
-	return &stripeGroups{m: make(map[stripeGroupKey]*stripeGroup)}
-}
-
-// join registers one stripe's connection under its group, creating the
-// group on first arrival. The completing arrival is the group's runner
-// (second return true); the group leaves the registry at that moment —
-// its remaining lifecycle is carried by the started/done channels.
-func (g *stripeGroups) join(key stripeGroupKey, idx, count int, conn *gsitransport.Conn, peer Peer, op string) (*stripeGroup, bool, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	grp := g.m[key]
-	if grp == nil {
-		if len(g.m) >= maxStripeGroups {
-			return nil, false, errors.New("gsi: too many forming stripe groups")
-		}
-		grp = &stripeGroup{
-			op:      op,
-			peer:    peer,
-			count:   count,
-			conns:   make([]*gsitransport.Conn, count),
-			started: make(chan struct{}),
-			done:    make(chan struct{}),
-		}
-		g.m[key] = grp
-	}
-	switch {
-	case grp.failed:
-		return nil, false, errors.New("gsi: stripe group already failed")
-	case count != grp.count:
-		return nil, false, errors.New("gsi: stripe count disagrees within group")
-	case op != grp.op:
-		return nil, false, errors.New("gsi: stream op disagrees within group")
-	case grp.conns[idx] != nil:
-		return nil, false, errors.New("gsi: duplicate stripe index")
-	}
-	grp.conns[idx] = conn
-	grp.joined++
-	if grp.joined == grp.count {
-		close(grp.started)
-		delete(g.m, key)
-		return grp, true, nil
-	}
-	return grp, false, nil
-}
-
-// abandon fails a group whose remaining stripes never arrived. Reports
-// false when the group completed concurrently — the caller's stripe is
-// then part of a running transfer and must wait for done instead.
-func (g *stripeGroups) abandon(key stripeGroupKey, grp *stripeGroup) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	select {
-	case <-grp.started:
-		return false
-	default:
-	}
-	grp.failed = true
-	if g.m[key] == grp {
-		delete(g.m, key)
-	}
-	return true
-}
-
 // serveGT2StripedOpen handles one gsi.__stream.sopen exchange: validate
 // and authorize the carried op (per stripe — the decision cache makes
-// repeats cheap), join the group, and either run the group's transfer
-// (last arrival) or park until it finishes. Reports whether the
+// repeats cheap), then open the group (stripe 0) or join it (stripes
+// 1…K-1). Stripe 0 awaits the group and runs the transfer; a joined
+// stripe parks until stripe 0 releases it. Reports whether the
 // connection is still usable for further exchanges.
-func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, groups *stripeGroups, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
+func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, groups *gsitransport.Rendezvous, body []byte, rbuf *record.Buf, sp *trace.Span) bool {
 	bg := context.Background()
-	d := wire.NewDecoder(body)
-	op := d.Str()
-	groupID := string(d.Bytes())
-	idx := int(d.U32())
-	count := int(d.U32())
-	derr := d.Done()
+	req, derr := decodeStripedOpen(body)
 	rbuf.Free()
-	refuse := func(err error) {
+	refuse := func(status byte, err error) bool {
 		sp.SetError(err)
 		sp.End()
+		return sendGT2Reply(bg, conn, status, []byte(err.Error())) == nil
 	}
 	if cfg.StreamHandler == nil {
-		refuse(errors.New("no stream handler"))
-		return sendGT2Reply(bg, conn, gt2StatusNotFound, []byte("gsi: endpoint does not accept streams")) == nil
+		return refuse(gt2StatusNotFound, errors.New("gsi: endpoint does not accept streams"))
 	}
-	if derr != nil || len(groupID) != 16 || count < 1 || count > maxStripes || idx < 0 || idx >= count {
-		refuse(errors.New("malformed striped open"))
-		return sendGT2Reply(bg, conn, gt2StatusNotFound, []byte("gsi: malformed striped open")) == nil
+	if derr != nil {
+		return refuse(gt2StatusNotFound, derr)
 	}
-	if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
-		refuse(errors.New("invalid stream op"))
-		return sendGT2Reply(bg, conn, gt2StatusNotFound, []byte("gsi: invalid stream op "+op)) == nil
-	}
-	exPeer, authErr := cfg.authorizer.authorize(spanContext(ctx, sp), peer, exchangeResource, op)
+	exPeer, authErr := cfg.authorizer.authorize(spanContext(ctx, sp), peer, exchangeResource, req.op)
 	if authErr != nil {
-		refuse(authErr)
-		return sendGT2Reply(bg, conn, gt2Status(authErr), []byte(authErr.Error())) == nil
+		return refuse(gt2Status(authErr), authErr)
 	}
-	key := stripeGroupKey{peer: peerKey(peer), id: groupID}
-	grp, runner, jerr := groups.join(key, idx, count, conn, exPeer, op)
-	if jerr != nil {
-		refuse(jerr)
-		return sendGT2Reply(bg, conn, gt2StatusError, []byte(jerr.Error())) == nil
-	}
-	// From here the connection belongs to the group until done: even on
-	// a failed reply it must not be closed out from under the transfer.
-	replyErr := sendGT2Reply(bg, conn, gt2StatusOK, nil)
-	if runner {
-		runStripeGroup(ctx, cfg, grp, sp)
-		sp.End()
-		return replyErr == nil && !conn.Broken()
-	}
-	select {
-	case <-grp.started:
-	case <-time.After(stripeJoinTimeout):
-		if groups.abandon(key, grp) {
-			// The group never completed; this stripe was never handed to a
-			// transfer, so the connection can simply die.
-			refuse(errors.New("stripe group incomplete"))
-			return false
+	owner := peerKey(peer)
+	if len(req.token) > 0 {
+		// Group slot i-1: stripe 0 is the owner's own connection.
+		grp, err := groups.Join(req.token, owner, req.n-1, req.op, conn)
+		if err != nil {
+			return refuse(gt2StatusError, err)
 		}
-		// Lost the race with the completing join: fall through and wait.
+		// From here the connection belongs to the group until released:
+		// even on a failed reply it must not be closed out from under the
+		// transfer.
+		replyErr := sendGT2Reply(bg, conn, gt2StatusOK, nil)
+		ran := grp.Released()
+		sp.End()
+		return ran && replyErr == nil && !conn.Broken()
 	}
-	<-grp.done
+	grp, err := groups.Open(owner, req.n-1, req.op)
+	if err != nil {
+		return refuse(gt2StatusError, err)
+	}
+	if err := sendGT2Reply(bg, conn, gt2StatusOK, grp.Token()); err != nil {
+		grp.Release()
+		sp.SetError(err)
+		sp.End()
+		return false
+	}
+	if !grp.Await() {
+		// The client never completed the group; the joined stripes were
+		// released and this connection can simply die.
+		sp.SetError(errors.New("stripe group incomplete"))
+		sp.End()
+		return false
+	}
+	runStripeGroup(ctx, cfg, append([]*gsitransport.Conn{conn}, grp.Conns()...), exPeer, req.op, sp)
+	grp.Release()
 	sp.End()
-	return replyErr == nil && !conn.Broken()
+	return !conn.Broken()
 }
 
-// runStripeGroup executes one striped stream on the completing
-// arrival's goroutine: handler, terminal records on every stripe, then
-// the client half consumed so all K connections resynchronize. The
-// runner's lane span (when traced) parents a server.stream span
-// covering the handler's whole transfer.
-func runStripeGroup(ctx context.Context, cfg ServeConfig, grp *stripeGroup, sp *trace.Span) {
-	defer close(grp.done)
+// runStripeGroup executes one striped stream on stripe 0's goroutine:
+// handler, terminal records on every stripe, then the client half
+// consumed so all K connections resynchronize. Stripe 0's lane span
+// (when traced) parents a server.stream span covering the handler's
+// whole transfer.
+func runStripeGroup(ctx context.Context, cfg ServeConfig, conns []*gsitransport.Conn, peer Peer, op string, sp *trace.Span) {
 	bg := context.Background() // conn-lifetime CloseOnDone carries cancellation
-	w := gsitransport.NewStripedWriter(bg, grp.conns)
-	r := gsitransport.NewStripedReader(bg, grp.conns, 0)
-	var hstream Stream = &serverStripedStream{w: w, r: r, peer: grp.peer}
+	w := gsitransport.NewStripedWriter(bg, conns)
+	r := gsitransport.NewStripedReader(bg, conns, 0)
+	var hstream Stream = &serverStripedStream{w: w, r: r, peer: peer}
 	var ts *tracedStream
 	if sp != nil && cfg.Tracer != nil {
 		gsp := sp.StartChild("server.stream")
-		dn := peerDNOf(grp.peer)
+		dn := peerDNOf(peer)
 		gsp.SetPeer(dn)
 		ts = newTracedStream(hstream, gsp, "server")
-		ts.xfer = cfg.Tracer.Transfers().Begin("sopen:"+grp.op, dn, grp.count, gsp.Context().TraceID)
+		ts.xfer = cfg.Tracer.Transfers().Begin("sopen:"+op, dn, len(conns), gsp.Context().TraceID)
 		hstream = ts
 	}
-	herr := cfg.StreamHandler(ctx, grp.peer, grp.op, hstream)
+	herr := cfg.StreamHandler(ctx, peer, op, hstream)
 	if ts != nil {
 		ts.finish(herr)
 	}
@@ -473,12 +369,5 @@ func runStripeGroup(ctx context.Context, cfg ServeConfig, grp *stripeGroup, sp *
 		r.Abort()
 		return
 	}
-	if err := drainStriped(r); err != nil {
-		var peerErr *record.PeerError
-		if !errors.As(err, &peerErr) {
-			r.Abort()
-			return
-		}
-	}
-	r.Join()
+	r.Drain()
 }

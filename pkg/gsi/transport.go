@@ -330,9 +330,9 @@ func (t gt2Transport) Serve(ctx context.Context, addr string, cfg ServeConfig) (
 	serveCtx, cancel := context.WithCancel(ctx)
 	listener := gsitransport.NewListener(inner, cfg.Context)
 	ep := &gt2Endpoint{addr: inner.Addr().String(), cancel: cancel, listener: listener}
-	// The stripe-group registry is endpoint-scoped: striped opens on
-	// different connections of this endpoint rendezvous through it.
-	groups := newStripeGroups()
+	// The stripe rendezvous is endpoint-scoped: striped opens on
+	// different connections of this endpoint meet through it.
+	groups := new(gsitransport.Rendezvous)
 	go func() {
 		for {
 			conn, err := listener.AcceptContext(serveCtx)
@@ -373,7 +373,7 @@ const maxInternedOps = 1024
 // buffer, valid only for the duration of the call — handlers that
 // retain it must copy (returning it, as an echo handler does, is safe:
 // the reply is sealed before the buffer is reused).
-func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, groups *stripeGroups) {
+func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, groups *gsitransport.Rendezvous) {
 	defer conn.Close()
 	stop := conn.CloseOnDone(ctx)
 	defer stop()
@@ -753,12 +753,17 @@ func (s *handlerService) invokeReserved(call *ogsa.Call) ([]byte, error) {
 		}
 		return s.openStream(call, op)
 	case strings.HasPrefix(call.Op, gt3StreamWritePrefix):
-		st := s.reg.get(strings.TrimPrefix(call.Op, gt3StreamWritePrefix))
+		id := strings.TrimPrefix(call.Op, gt3StreamWritePrefix)
+		st := s.reg.get(id)
 		if st == nil {
 			return nil, errors.New("gsi: unknown stream")
 		}
-		if err := st.acceptIn(call.Body); err != nil {
+		terminal, err := st.acceptIn(call.Body)
+		if err != nil {
 			return nil, err
+		}
+		if terminal && st.endHalf() {
+			s.reg.remove(id)
 		}
 		return nil, nil
 	case strings.HasPrefix(call.Op, gt3StreamReadPrefix):
@@ -771,7 +776,7 @@ func (s *handlerService) invokeReserved(call *ogsa.Call) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if terminal {
+		if terminal && st.endHalf() {
 			s.reg.remove(id)
 		}
 		return rec, nil
