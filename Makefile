@@ -27,12 +27,14 @@ build:
 test:
 	$(GO) test ./...
 
-## test-multicore: the GOMAXPROCS∈{1,4} matrix over the pipelined and
-## striped data plane — scheduling-order bugs in the worker pipelines
-## and stripe rendezvous hide at one setting or the other.
+## test-multicore: the GOMAXPROCS∈{1,4} matrix over the data plane —
+## single-stream and striped transfers share one path, and
+## scheduling-order bugs in the worker pipelines and stripe rendezvous
+## hide at one setting or the other.
+MULTICORE_RUN = 'Striped|Stripe|Pipeline|Bulk|ReadAll|Stream|ThirdParty|PutFrom|GetTo'
 test-multicore:
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'Striped|Stripe|Pipeline|Bulk|ReadAll' . ./internal/record ./internal/gsitransport ./internal/gridftp
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'Striped|Stripe|Pipeline|Bulk|ReadAll' . ./internal/record ./internal/gsitransport ./internal/gridftp
+	GOMAXPROCS=1 $(GO) test -count=1 -run $(MULTICORE_RUN) . ./pkg/gsi ./internal/record ./internal/gsitransport ./internal/gridftp
+	GOMAXPROCS=4 $(GO) test -count=1 -run $(MULTICORE_RUN) . ./pkg/gsi ./internal/record ./internal/gsitransport ./internal/gridftp
 
 ## race: the concurrency gate — the session pool and transports must be
 ## clean under the race detector.
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStripedOpenBody$$' -fuzztime=5s ./pkg/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzStripeGrant$$' -fuzztime=5s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinPayload$$' -fuzztime=5s ./internal/gridftp
+	$(GO) test -run '^$$' -fuzz '^FuzzGridFTPCommand$$' -fuzztime=5s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelegationRequest$$' -fuzztime=5s ./internal/proxy

@@ -1,11 +1,15 @@
-// Experiment harness: one benchmark per figure/claim of the paper (see
-// DESIGN.md's experiment index and EXPERIMENTS.md for recorded results).
+// Experiment harness: one benchmark per figure/claim of the paper —
+// BenchmarkE1…E9 here and the ablations BenchmarkA1…A3 in
+// ablation_bench_test.go. Their results are not recorded in the
+// repository; run them with
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem    (or: make bench)
 //
-// Each BenchmarkE* regenerates the series for one experiment; custom
-// metrics carry the non-time quantities (administrative acts, messages,
-// bytes, privileged operations).
+// The recorded measurements are the BENCH_*.json files the Makefile's
+// bench-* targets write, and DESIGN.md's measurement sections explain
+// each. Each BenchmarkE* regenerates the series for one experiment;
+// custom metrics carry the non-time quantities (administrative acts,
+// messages, bytes, privileged operations).
 package repro
 
 import (

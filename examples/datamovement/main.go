@@ -111,7 +111,7 @@ func main() {
 	if err := gridftp.ThirdPartyTransfer(aliceProxy, trust,
 		src.Addr(), src.Identity(),
 		dst.Addr(), dst.Identity(),
-		"/exp/run-42", "/replica/run-42"); err != nil {
+		"/exp/run-42", "/replica/run-42", 0); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("third-party streamed transfer completed in %v\n", time.Since(start).Round(time.Microsecond))

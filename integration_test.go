@@ -386,7 +386,7 @@ func TestIntegrationGridFTPThirdParty(t *testing.T) {
 	}
 	if err := gridftp.ThirdPartyTransfer(aliceProxy, f.trust,
 		src.Addr(), src.Identity(), dst.Addr(), dst.Identity(),
-		"/exp/data", "/mirror/data"); err != nil {
+		"/exp/data", "/mirror/data", 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dstStore.Get(f.alice.Identity(), "/mirror/data")

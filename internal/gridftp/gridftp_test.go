@@ -2,6 +2,8 @@ package gridftp
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,10 @@ import (
 	"repro/internal/authz"
 	"repro/internal/ca"
 	"repro/internal/gridcert"
+	"repro/internal/gsitransport"
+	"repro/internal/gss"
 	"repro/internal/proxy"
+	"repro/internal/trace"
 )
 
 type bed struct {
@@ -209,7 +214,7 @@ func TestThirdPartyTransfer(t *testing.T) {
 	if err := ThirdPartyTransfer(alice, trust,
 		src.Addr(), src.Identity(),
 		dst.Addr(), dst.Identity(),
-		"/exp/результат", "/mirror/copy"); err != nil {
+		"/exp/результат", "/mirror/copy", 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dstStore.Get(alice.Identity(), "/mirror/copy")
@@ -237,7 +242,7 @@ func TestThirdPartyTransferDeniedWithoutRights(t *testing.T) {
 	dst, _ := NewServer("127.0.0.1:0", dstStore, dstHost, trust)
 	defer dst.Close()
 	srcStore.Put(alice.Identity(), "/f", []byte("x"))
-	err := ThirdPartyTransfer(alice, trust, src.Addr(), src.Identity(), dst.Addr(), dst.Identity(), "/f", "/f")
+	err := ThirdPartyTransfer(alice, trust, src.Addr(), src.Identity(), dst.Addr(), dst.Identity(), "/f", "/f", 0)
 	if err == nil || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("transfer into deny-all store: %v", err)
 	}
@@ -363,7 +368,7 @@ func TestStreamedPutAbort(t *testing.T) {
 	}
 	defer c.Close()
 
-	w, err := c.PutStream("/wip/half", 0)
+	w, err := c.PutWriter("/wip/half", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +401,88 @@ func TestStreamedPutDeniedUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.PutStream("/secret/file", 0); err == nil {
+	if _, err := c.PutWriter("/secret/file", 0, 0); err == nil {
 		t.Fatal("unauthorized streamed PUT accepted")
 	}
 	// The refusal left no half-open stream: further commands work.
 	if _, err := c.List("/"); err == nil {
 		t.Fatal("bob should be denied list too")
+	}
+}
+
+// failingConn passes writes through until limit bytes have gone out,
+// then drops the connection and fails every write: a link dying in the
+// middle of a transfer.
+type failingConn struct {
+	net.Conn
+	limit int
+}
+
+func (f *failingConn) Write(p []byte) (int, error) {
+	if len(p) > f.limit {
+		f.Conn.Close()
+		return 0, errors.New("injected write failure")
+	}
+	f.limit -= len(p)
+	return f.Conn.Write(p)
+}
+
+// A Put whose data write fails must abort the transfer: no entry left
+// in the transfer registry and the root span ended with the failure.
+func TestStreamedPutWriteFailureEndsTransfer(t *testing.T) {
+	b := newBed(t, openAll("/O=Grid/CN=Alice"))
+	// failingClient dials a client whose connection fails every write
+	// after the first MiB.
+	failingClient := func() (*Client, *trace.Tracer) {
+		raw, err := net.Dial("tcp", b.srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := gsitransport.Client(&failingConn{Conn: raw, limit: 1 << 20}, gss.Config{
+			Credential:   b.alice,
+			TrustStore:   b.trust,
+			ExpectedPeer: b.srv.Identity(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Client{conn: conn, cred: b.alice, trust: b.trust, addr: b.srv.Addr(), expectHost: b.srv.Identity()}
+		t.Cleanup(func() { c.Close() })
+		tr := trace.New(trace.Config{})
+		t.Cleanup(func() { tr.Close() })
+		c.SetTracer(tr)
+		return c, tr
+	}
+
+	c, tr := failingClient()
+	if err := c.Put("/data/doomed", make([]byte, 8<<20)); err == nil {
+		t.Fatal("Put over a failing connection succeeded")
+	}
+	if n := tr.Transfers().Len(); n != 0 {
+		t.Fatalf("%d transfers still registered after the failed Put", n)
+	}
+	recs := tr.Recorder().Snapshot(trace.Query{Op: "gridftp.put"})
+	if len(recs) != 1 || recs[0].Err == "" {
+		t.Fatalf("gridftp.put spans after the failed Put: %+v", recs)
+	}
+
+	// A caller that ignores the failed Write still hears of it from
+	// Close and Abort.
+	c, tr = failingClient()
+	w, err := c.PutWriter("/data/doomed", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(make([]byte, 8<<20)); err == nil {
+		t.Fatal("Write over a failing connection succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after a failed Write reported success")
+	}
+	if err := w.Abort("again"); err == nil {
+		t.Fatal("Abort after a failed Write reported success")
+	}
+	if n := tr.Transfers().Len(); n != 0 {
+		t.Fatalf("%d transfers still registered after the failed Write", n)
 	}
 }

@@ -132,14 +132,11 @@ func (s *Server) serve(conn *gsitransport.Conn) {
 	}
 }
 
-// serveGet answers a streamed GET: acknowledge, then send the file as
-// chunk records straight out of the store (the seal is the only pass
-// over the data). A stripe-marked payload diverts to the parallel
-// striped path. Returns false when the connection is unusable.
+// serveGet answers a GET: send the file as chunk records straight out
+// of the store (the seal is the only pass over the data) across the
+// command's data connections. Returns false when the control
+// connection is unusable.
 func (s *Server) serveGet(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte, rctx trace.SpanContext) bool {
-	if k, ok := decodeStripeGetReq(payload); ok {
-		return s.serveGetStriped(ctx, conn, identity, path, k, rctx)
-	}
 	sp := s.tracer.StartRemote(rctx, "gridftp.server.get")
 	sp.SetPeer(identity.String())
 	data, err := s.store.Open(identity, path)
@@ -148,38 +145,38 @@ func (s *Server) serveGet(ctx context.Context, conn *gsitransport.Conn, identity
 		sp.End()
 		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 	}
-	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), 1, sp.Context().TraceID)
-	done := func(err error) bool {
-		sp.SetError(err)
+	stripes := 0
+	if k, ok := decodeStripeGetReq(payload); ok {
+		stripes = clampStripes(k)
+	}
+	conns, release, ok := s.dataConns(conn, identity, path, stripes, uint64(len(data)), sp)
+	if conns == nil {
 		sp.End()
-		xfer.End()
-		return err == nil
+		return ok
 	}
-	if err := conn.Send(encodeReply(opOK, path, nil)); err != nil {
-		return done(err)
-	}
-	st := gsitransport.NewStream(ctx, conn)
-	if _, err := st.Write(data); err != nil {
-		// Mid-stream store-side failures would abort via CloseWithError;
-		// a transport failure here already broke the connection.
-		st.CloseWithError(err.Error())
-		return done(err)
+	defer release()
+	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), len(conns), sp.Context().TraceID)
+	defer xfer.End()
+	defer sp.End()
+	_, w := gsitransport.Open(ctx, conns, gsitransport.WriteHalf)
+	if _, err := w.Write(data); err != nil {
+		// A transport failure here already broke its connection.
+		sp.SetError(err)
+		w.CloseWithError(err.Error())
+		return !conn.Broken()
 	}
 	sp.AddBytes(int64(len(data)))
 	xfer.Add(int64(len(data)))
-	return done(st.CloseWrite())
+	sp.SetError(w.CloseWrite())
+	return !conn.Broken()
 }
 
-// servePut answers a streamed PUT: authorize before inviting any data,
-// acknowledge, assemble the inbound chunks, and confirm. The command
-// payload may carry an 8-byte size hint used to pre-size the assembly
-// (bounded — a lying hint degrades to incremental growth, never to an
-// oversized trust-the-peer allocation). Returns false when the
-// connection is unusable.
+// servePut answers a PUT: authorize before inviting any data, accept,
+// assemble the inbound chunks, and send the verdict on the control
+// connection. The command payload may declare the file size, used to
+// pre-size the assembly. Returns false when the control connection is
+// unusable.
 func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, payload []byte, rctx trace.SpanContext) bool {
-	if k, hint, ok := decodeStripePutReq(payload); ok {
-		return s.servePutStriped(ctx, conn, identity, path, k, hint, rctx)
-	}
 	sp := s.tracer.StartRemote(rctx, "gridftp.server.put")
 	sp.SetPeer(identity.String())
 	// Fail-closed before the client ships a byte.
@@ -188,31 +185,38 @@ func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity
 		sp.End()
 		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 	}
-	var hint int64
-	if len(payload) == 8 {
-		hint = int64(binary.BigEndian.Uint64(payload))
+	stripes, hint := 0, uint64(0)
+	if k, h, ok := decodeStripePutReq(payload); ok {
+		stripes, hint = clampStripes(k), h
+	} else if len(payload) == 8 {
+		hint = binary.BigEndian.Uint64(payload)
 	}
-	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), 1, sp.Context().TraceID)
+	conns, release, ok := s.dataConns(conn, identity, path, stripes, 0, sp)
+	if conns == nil {
+		sp.End()
+		return ok
+	}
+	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), len(conns), sp.Context().TraceID)
 	done := func(err error) {
 		sp.SetError(err)
 		sp.End()
 		xfer.End()
 	}
-	st := gsitransport.NewStream(ctx, conn)
-	if err := conn.Send(encodeReply(opOK, path, nil)); err != nil {
-		done(err)
-		return false
-	}
-	assembled, err := readAllStream(st, hint)
+	r, _ := gsitransport.Open(ctx, conns, gsitransport.ReadHalf)
+	assembled, err := r.ReadAll(putPrealloc(hint))
+	r.Drain() // resynchronizes every data connection, or aborts the transfer
+	release()
 	if err != nil {
 		done(err)
+		msg := err.Error()
 		var peerErr *record.PeerError
 		if errors.As(err, &peerErr) {
 			// Clean client abort: the terminal record resynchronized the
 			// stream; report and keep serving.
-			return conn.Send(encodeReply(opErr, path, []byte(peerErr.Msg))) == nil
+			msg = peerErr.Msg
 		}
-		return false
+		// On a broken control connection the send fails and ends it.
+		return conn.Send(encodeReply(opErr, path, []byte(msg))) == nil
 	}
 	sp.AddBytes(int64(len(assembled)))
 	xfer.Add(int64(len(assembled)))
@@ -228,23 +232,18 @@ func (s *Server) servePut(ctx context.Context, conn *gsitransport.Conn, identity
 // up front; larger (or lying) hints grow incrementally past it.
 const maxPutPrealloc = 256 << 20
 
+// putPrealloc sizes a PUT's assembly buffer from the declared size, so
+// well-declared transfers never pay a growth copy while a lying hint
+// degrades to amortized growth, never to an oversized trust-the-peer
+// allocation.
+func putPrealloc(hint uint64) int {
+	return int(min(max(hint, 1<<20), maxPutPrealloc))
+}
+
 // transferCopyBuffer sizes the relay buffer for streamed copies. It
 // matches the stream layer's bulk-write threshold so each relay write
 // takes the pipelined seal path instead of sealing chunk by chunk.
 const transferCopyBuffer = 4 * record.DefaultChunkSize
-
-// readAllStream assembles a whole inbound stream through the stream's
-// pipelined receive path (the open worker overlaps with assembly). A
-// trusted-bounded size hint pre-sizes the buffer so well-declared
-// transfers never pay a growth copy; lying hints degrade to amortized
-// growth, never to an oversized trust-the-peer allocation.
-func readAllStream(st *gsitransport.Stream, hint int64) ([]byte, error) {
-	prealloc := int64(1 << 20)
-	if hint > prealloc {
-		prealloc = min(hint, maxPutPrealloc)
-	}
-	return st.ReadAll(int(prealloc))
-}
 
 func (s *Server) execute(identity gridcert.Name, verb, path string, payload []byte) []byte {
 	switch verb {
@@ -302,169 +301,6 @@ func (c *Client) roundTrip(verb, path string, payload []byte) ([]byte, error) {
 	return c.readReply()
 }
 
-// GetReader is an in-flight streamed GET: an io.ReadCloser delivering
-// the file as its chunks arrive. Close before issuing further commands
-// on the same client.
-type GetReader struct {
-	st   *gsitransport.Stream
-	err  error
-	sp   *trace.Span     // nil when untraced
-	xfer *trace.Transfer // nil when untraced
-}
-
-// Read returns file bytes, io.EOF at the end of a complete transfer,
-// and the server's abort reason if it failed mid-stream.
-func (g *GetReader) Read(p []byte) (int, error) {
-	n, err := g.st.Read(p)
-	var peerErr *record.PeerError
-	if errors.As(err, &peerErr) {
-		err = fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-	}
-	if err != nil && err != io.EOF {
-		g.err = err
-	}
-	if n > 0 {
-		g.sp.AddBytes(int64(n))
-		g.xfer.Add(int64(n))
-	}
-	return n, err
-}
-
-// finishTrace ends the span and transfer registration exactly once.
-func (g *GetReader) finishTrace() {
-	g.sp.SetError(g.err)
-	g.sp.End()
-	g.xfer.End()
-	g.sp, g.xfer = nil, nil
-}
-
-// Close drains any unread remainder so the session is reusable.
-func (g *GetReader) Close() error {
-	defer g.finishTrace()
-	if g.err != nil {
-		g.st.Release()
-		return nil // already failed; connection state is settled
-	}
-	return g.st.Drain()
-}
-
-// GetStream starts a streamed GET of path.
-func (c *Client) GetStream(path string) (*GetReader, error) {
-	sp := c.tracer.StartRoot("gridftp.get")
-	sp.SetPeer(c.expectHost.String())
-	if _, err := c.roundTrip(opGetS, path, traceSuffix(sp, nil)); err != nil {
-		sp.SetError(err)
-		sp.End()
-		return nil, err
-	}
-	return &GetReader{
-		st:   gsitransport.NewStream(context.Background(), c.conn),
-		sp:   sp,
-		xfer: c.tracer.Transfers().Begin("get:"+path, c.expectHost.String(), 1, sp.Context().TraceID),
-	}, nil
-}
-
-// GetTo fetches path, writing the content to w as it arrives, and
-// returns the byte count.
-func (c *Client) GetTo(path string, w io.Writer) (int64, error) {
-	g, err := c.GetStream(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := io.Copy(w, g)
-	if cerr := g.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	return n, err
-}
-
-// Get fetches a file into memory through the pipelined receive path.
-func (c *Client) Get(path string) ([]byte, error) {
-	g, err := c.GetStream(path)
-	if err != nil {
-		return nil, err
-	}
-	data, err := g.st.ReadAll(0)
-	if err != nil {
-		g.err = err
-		g.st.Release()
-		g.finishTrace()
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			return nil, fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-		}
-		return nil, err
-	}
-	g.sp.AddBytes(int64(len(data)))
-	g.xfer.Add(int64(len(data)))
-	g.finishTrace()
-	return data, nil
-}
-
-// PutWriter is an in-flight streamed PUT: an io.WriteCloser whose Close
-// completes the transfer and returns the server's verdict. Abort
-// cancels mid-stream. Finish (Close or Abort) before issuing further
-// commands on the same client.
-type PutWriter struct {
-	c    *Client
-	st   *gsitransport.Stream
-	done bool
-	sp   *trace.Span     // nil when untraced
-	xfer *trace.Transfer // nil when untraced
-}
-
-// Write ships file bytes as chunk records.
-func (w *PutWriter) Write(p []byte) (int, error) {
-	n, err := w.st.Write(p)
-	if n > 0 {
-		w.sp.AddBytes(int64(n))
-		w.xfer.Add(int64(n))
-	}
-	return n, err
-}
-
-func (w *PutWriter) finishTrace(err error) {
-	w.sp.SetError(err)
-	w.sp.End()
-	w.xfer.End()
-	w.sp, w.xfer = nil, nil
-}
-
-// Close sends FIN and waits for the server's confirmation.
-func (w *PutWriter) Close() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	defer w.st.Release()
-	if err := w.st.CloseWrite(); err != nil {
-		w.finishTrace(err)
-		return err
-	}
-	_, err := w.c.readReply()
-	w.finishTrace(err)
-	return err
-}
-
-// Abort cancels the transfer mid-stream: the server discards the
-// partial file and the session stays usable.
-func (w *PutWriter) Abort(reason string) error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	defer w.st.Release()
-	w.finishTrace(errors.New(reason))
-	if err := w.st.CloseWithError(reason); err != nil {
-		return err
-	}
-	// The server acknowledges the abort with its ERR reply.
-	if _, err := w.c.readReply(); err == nil {
-		return errors.New("gridftp: server confirmed an aborted transfer")
-	}
-	return nil
-}
-
 // readReply consumes one OK/ERR control message.
 func (c *Client) readReply() ([]byte, error) {
 	msg, err := c.conn.Receive()
@@ -481,27 +317,255 @@ func (c *Client) readReply() ([]byte, error) {
 	return rpayload, nil
 }
 
-// PutStream starts a streamed PUT to path. The server authorizes the
-// write before any data flows. sizeHint, when positive, lets the
-// server pre-size its assembly; 0 means unknown.
-func (c *Client) PutStream(path string, sizeHint int64) (*PutWriter, error) {
-	var payload []byte
-	if sizeHint > 0 {
-		payload = binary.BigEndian.AppendUint64(nil, uint64(sizeHint))
+// transfer is the client side of one accepted GETS/PUTS: the stripes
+// joined for it, if any, and its trace.
+type transfer struct {
+	joined []*gsitransport.Conn // nil when the control connection carries the file
+	sp     *trace.Span          // nil when untraced
+	lanes  []*trace.Span        // per-stripe children of sp
+	xfer   *trace.Transfer      // nil when untraced
+}
+
+// open sends a GETS/PUTS command for path and gathers the connections
+// its file crosses: the control connection for an unmarked command
+// (stripes ≤ 0), or the stripes the server grants, dialed and joined.
+// size is the file size a GET grant announces.
+func (c *Client) open(verb, path string, stripes int, req []byte) (t transfer, conns []*gsitransport.Conn, size int64, err error) {
+	op, name := "gridftp.get", "get:"
+	if verb == opPutS {
+		op, name = "gridftp.put", "put:"
 	}
-	sp := c.tracer.StartRoot("gridftp.put")
-	sp.SetPeer(c.expectHost.String())
-	if _, err := c.roundTrip(opPutS, path, traceSuffix(sp, payload)); err != nil {
-		sp.SetError(err)
-		sp.End()
+	t.sp = c.tracer.StartRoot(op)
+	t.sp.SetPeer(c.expectHost.String())
+	grant, err := c.roundTrip(verb, path, traceSuffix(t.sp, req))
+	if err == nil && stripes > 0 {
+		var granted int
+		var token []byte
+		if granted, size, token, err = decodeStripeGrant(grant); err == nil {
+			t.joined, t.lanes, err = c.dialStripes(granted, token, t.sp)
+		}
+	}
+	if err != nil {
+		t.sp.SetError(err)
+		t.sp.End()
+		return transfer{}, nil, 0, err
+	}
+	conns = t.joined
+	if conns == nil {
+		conns = []*gsitransport.Conn{c.conn}
+	}
+	t.xfer = c.tracer.Transfers().Begin(name+path, c.expectHost.String(), len(conns), t.sp.Context().TraceID)
+	return t, conns, size, nil
+}
+
+func (t *transfer) add(n int) {
+	if n > 0 {
+		t.sp.AddBytes(int64(n))
+		t.xfer.Add(int64(n))
+	}
+}
+
+// end closes the joined stripes (they are transfer-scoped) and ends the
+// lanes, the root span and the transfer registration, exactly once.
+func (t *transfer) end(err error) {
+	for _, dc := range t.joined {
+		dc.Close()
+	}
+	for _, lane := range t.lanes {
+		lane.End()
+	}
+	t.sp.SetError(err)
+	t.sp.End()
+	t.xfer.End()
+	*t = transfer{}
+}
+
+// serverAbort renders a server's mid-stream abort the way the control
+// protocol renders its refusals.
+func serverAbort(err error) error {
+	var peerErr *record.PeerError
+	if errors.As(err, &peerErr) {
+		return fmt.Errorf("gridftp: server: %s", peerErr.Msg)
+	}
+	return err
+}
+
+// GetReader is an in-flight GET: an io.ReadCloser delivering the file
+// in order as its chunks arrive, over the control connection or over
+// parallel stripes. Close before issuing further commands on the same
+// client.
+type GetReader struct {
+	transfer
+	r    gsitransport.Reader
+	size int64
+	err  error
+}
+
+// Size is the file size a striped GET's grant announced; 0 otherwise.
+func (g *GetReader) Size() int64 { return g.size }
+
+// Read returns file bytes, io.EOF at the end of a complete transfer,
+// and the server's abort reason if it failed mid-stream.
+func (g *GetReader) Read(p []byte) (int, error) {
+	n, err := g.r.Read(p)
+	err = serverAbort(err)
+	if err != nil && err != io.EOF {
+		g.err = err
+	}
+	g.add(n)
+	return n, err
+}
+
+// Close drains any unread remainder so the session is reusable and
+// closes the joined stripes. A failure Read already returned is not
+// reported again.
+func (g *GetReader) Close() error {
+	err := serverAbort(g.r.Drain())
+	if g.err != nil {
+		err = nil
+	} else {
+		g.err = err
+	}
+	g.end(g.err)
+	return err
+}
+
+// readAll consumes the whole file through the pipelined receive path.
+func (g *GetReader) readAll() ([]byte, error) {
+	hint := 0
+	if g.size > 0 && g.size <= maxPutPrealloc {
+		hint = int(g.size)
+	}
+	data, err := g.r.ReadAll(hint)
+	if err != nil {
+		g.err = serverAbort(err)
+		g.Close()
+		return nil, g.err
+	}
+	g.add(len(data))
+	return data, g.Close()
+}
+
+// GetReader starts a GET of path: over the control connection when
+// stripes ≤ 0, else over up to stripes data connections (the server may
+// grant fewer).
+func (c *Client) GetReader(path string, stripes int) (*GetReader, error) {
+	var req []byte
+	if stripes > 0 {
+		req = encodeStripeGetReq(stripes)
+	}
+	t, conns, size, err := c.open(opGetS, path, stripes, req)
+	if err != nil {
 		return nil, err
 	}
-	return &PutWriter{
-		c:    c,
-		st:   gsitransport.NewStream(context.Background(), c.conn),
-		sp:   sp,
-		xfer: c.tracer.Transfers().Begin("put:"+path, c.expectHost.String(), 1, sp.Context().TraceID),
-	}, nil
+	r, _ := gsitransport.Open(context.Background(), conns, gsitransport.ReadHalf)
+	return &GetReader{transfer: t, r: r, size: size}, nil
+}
+
+// GetTo fetches path, writing the content to w as it arrives, and
+// returns the byte count.
+func (c *Client) GetTo(path string, w io.Writer) (int64, error) {
+	g, err := c.GetReader(path, 0)
+	if err != nil {
+		return 0, err
+	}
+	n, err := io.Copy(w, g)
+	if cerr := g.Close(); err == nil && cerr != nil {
+		err = cerr
+	}
+	return n, err
+}
+
+// Get fetches a file into memory through the pipelined receive path.
+func (c *Client) Get(path string) ([]byte, error) {
+	g, err := c.GetReader(path, 0)
+	if err != nil {
+		return nil, err
+	}
+	return g.readAll()
+}
+
+// GetStriped fetches a file over parallel stripes into memory.
+func (c *Client) GetStriped(path string, stripes int) ([]byte, error) {
+	g, err := c.GetReader(path, max(stripes, 1))
+	if err != nil {
+		return nil, err
+	}
+	return g.readAll()
+}
+
+// PutWriter is an in-flight PUT: an io.WriteCloser whose Close
+// completes the transfer and returns the server's verdict from the
+// control connection. Abort cancels mid-stream, and a failed Write
+// aborts. Finish (Close or Abort) before issuing further commands on
+// the same client.
+type PutWriter struct {
+	transfer
+	c    *Client
+	w    gsitransport.Writer
+	done bool
+	err  error // the failure of a Write that aborted the transfer
+}
+
+// Write ships file bytes as chunk records. A failure aborts the
+// transfer, and a later Close or Abort reports it again.
+func (w *PutWriter) Write(p []byte) (int, error) {
+	n, err := w.w.Write(p)
+	w.add(n)
+	if err != nil && !w.done {
+		w.Abort(err.Error())
+		w.err = err
+	}
+	return n, err
+}
+
+// Close sends FIN and waits for the server's verdict.
+func (w *PutWriter) Close() error {
+	if w.done {
+		return w.err
+	}
+	w.done = true
+	werr := w.w.CloseWrite()
+	_, err := w.c.readReply()
+	err = errors.Join(err, werr)
+	w.end(err)
+	return err
+}
+
+// Abort cancels the transfer mid-stream: the server discards the
+// partial file and the session stays usable.
+func (w *PutWriter) Abort(reason string) error {
+	if w.done {
+		return w.err
+	}
+	w.done = true
+	err := w.w.CloseWithError(reason)
+	// The server acknowledges the abort with its ERR reply.
+	if _, rerr := w.c.readReply(); rerr == nil {
+		err = errors.New("gridftp: server confirmed an aborted transfer")
+	}
+	w.end(errors.New(reason))
+	return err
+}
+
+// PutWriter starts a PUT to path: over the control connection when
+// stripes ≤ 0, else over up to stripes data connections. The server
+// authorizes the write before any data flows. sizeHint, when positive,
+// lets the server pre-size its assembly; 0 means unknown.
+func (c *Client) PutWriter(path string, stripes int, sizeHint int64) (*PutWriter, error) {
+	var req []byte
+	switch {
+	case stripes > 0:
+		req = encodeStripePutReq(stripes, uint64(max(sizeHint, 0)))
+	case sizeHint > 0:
+		req = binary.BigEndian.AppendUint64(nil, uint64(sizeHint))
+	}
+	t, conns, _, err := c.open(opPutS, path, stripes, req)
+	if err != nil {
+		return nil, err
+	}
+	_, w := gsitransport.Open(context.Background(), conns, gsitransport.WriteHalf)
+	return &PutWriter{transfer: t, c: c, w: w}, nil
 }
 
 // PutFrom stores r's content at path, streaming as it reads, and
@@ -514,7 +578,7 @@ func (c *Client) PutFrom(path string, r io.Reader) (int64, error) {
 	if l, ok := r.(interface{ Len() int }); ok {
 		hint = int64(l.Len())
 	}
-	w, err := c.PutStream(path, hint)
+	w, err := c.PutWriter(path, 0, hint)
 	if err != nil {
 		return 0, err
 	}
@@ -529,13 +593,20 @@ func (c *Client) PutFrom(path string, r io.Reader) (int64, error) {
 }
 
 // Put stores a file from memory.
-func (c *Client) Put(path string, data []byte) error {
-	w, err := c.PutStream(path, int64(len(data)))
+func (c *Client) Put(path string, data []byte) error { return c.putAll(path, 0, data) }
+
+// PutStriped stores a file over parallel stripes.
+func (c *Client) PutStriped(path string, stripes int, data []byte) error {
+	return c.putAll(path, max(stripes, 1), data)
+}
+
+func (c *Client) putAll(path string, stripes int, data []byte) error {
+	w, err := c.PutWriter(path, stripes, int64(len(data)))
 	if err != nil {
 		return err
 	}
 	if _, err := w.Write(data); err != nil {
-		return err
+		return err // Write aborted the transfer
 	}
 	return w.Close()
 }
@@ -565,7 +636,9 @@ func (c *Client) List(prefix string) ([]string, error) {
 //
 // The copy is streamed end to end — source chunks flow into destination
 // chunks through one transfer-sized buffer, never materializing the
-// file — so third-party moves are unbounded too.
+// file — so third-party moves are unbounded too. With stripes ≤ 0 each
+// leg rides its control connection; a positive count fans both legs
+// over up to that many parallel stripes, as GetReader and PutWriter do.
 //
 // In this in-process reproduction the "source server side" runs in this
 // function with the delegated credential, exactly as the source host
@@ -573,7 +646,7 @@ func (c *Client) List(prefix string) ([]string, error) {
 func ThirdPartyTransfer(client *gridcert.Credential, trust *gridcert.TrustStore,
 	srcAddr string, srcHost gridcert.Name,
 	dstAddr string, dstHost gridcert.Name,
-	srcPath, dstPath string) error {
+	srcPath, dstPath string, stripes int) error {
 
 	// 1. The client connects to the source and fetches nothing itself —
 	// it delegates. (Delegation rides the established secure channel in
@@ -604,11 +677,11 @@ func ThirdPartyTransfer(client *gridcert.Credential, trust *gridcert.TrustStore,
 	}
 	defer dstConn.Close()
 
-	get, err := srcConn.GetStream(srcPath)
+	get, err := srcConn.GetReader(srcPath, stripes)
 	if err != nil {
 		return err
 	}
-	put, err := dstConn.PutStream(dstPath, 0)
+	put, err := dstConn.PutWriter(dstPath, stripes, get.Size())
 	if err != nil {
 		get.Close()
 		return err

@@ -1,17 +1,13 @@
 package gridftp
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/gridcert"
 	"repro/internal/gsitransport"
 	"repro/internal/gss"
-	"repro/internal/proxy"
-	"repro/internal/record"
 	"repro/internal/trace"
 )
 
@@ -150,120 +146,37 @@ func (s *Server) serveJoin(conn *gsitransport.Conn, identity gridcert.Name, payl
 	return ran && replyErr == nil && !conn.Broken()
 }
 
-// serveGetStriped answers a striped GET: grant min(k, cap) stripes and
-// a transfer token, wait for the JOINs, and stream the file over all
-// stripes at once. The control connection carries no further reply —
-// the data plane's FIN trailers are the completion signal.
-func (s *Server) serveGetStriped(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, k int, rctx trace.SpanContext) bool {
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.get")
-	sp.SetPeer(identity.String())
-	data, err := s.store.Open(identity, path)
+// dataConns accepts a GETS/PUTS command and gathers the connections its
+// file crosses: the control connection itself for an unmarked command
+// (stripes = 0), or a group of that many stripes opened under identity,
+// granted (with the file size, for a GET) and joined. release ends the
+// stripes' tenure once the transfer is done. A nil conns means the
+// command was answered here, and ok reports whether the control
+// connection is still usable.
+func (s *Server) dataConns(conn *gsitransport.Conn, identity gridcert.Name, path string, stripes int, size uint64, sp *trace.Span) (conns []*gsitransport.Conn, release func(), ok bool) {
+	if stripes == 0 {
+		if err := conn.Send(encodeReply(opOK, path, nil)); err != nil {
+			sp.SetError(err)
+			return nil, nil, false
+		}
+		return []*gsitransport.Conn{conn}, func() {}, true
+	}
+	x, err := s.stripes.Open(identity.String(), stripes, "")
 	if err != nil {
 		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+		return nil, nil, conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 	}
-	x, ok := s.grantStripes(conn, identity, path, k, uint64(len(data)), sp)
-	if x == nil {
-		sp.End()
-		return ok
-	}
-	xfer := s.tracer.Transfers().Begin("get:"+path, identity.String(), len(x.Conns()), sp.Context().TraceID)
-	s.runGetStripes(ctx, x.Conns(), data, sp, xfer)
-	x.Release()
-	return true
-}
-
-// grantStripes opens a group of min(k, cap) stripes under identity,
-// sends the grant (with the transfer size, for a GET) on the control
-// connection and awaits the JOINs. It returns the group ready to run,
-// or nil once it has answered the control connection itself, with ok
-// reporting whether that connection is still usable.
-func (s *Server) grantStripes(conn *gsitransport.Conn, identity gridcert.Name, path string, k int, size uint64, sp *trace.Span) (x *gsitransport.StripeGroup, ok bool) {
-	granted := clampStripes(k)
-	x, err := s.stripes.Open(identity.String(), granted, "")
-	if err != nil {
-		sp.SetError(err)
-		return nil, conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	if err := conn.Send(encodeReply(opOK, path, encodeStripeGrant(granted, size, x.Token()))); err != nil {
+	if err := conn.Send(encodeReply(opOK, path, encodeStripeGrant(stripes, size, x.Token()))); err != nil {
 		x.Release()
 		sp.SetError(err)
-		return nil, false
+		return nil, nil, false
 	}
 	if !x.Await() {
 		err := errors.New("gridftp: stripes never joined")
 		sp.SetError(err)
-		return nil, conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
+		return nil, nil, conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
 	}
-	return x, true
-}
-
-func (s *Server) runGetStripes(ctx context.Context, conns []*gsitransport.Conn, data []byte, sp *trace.Span, xfer *trace.Transfer) {
-	defer xfer.End()
-	defer sp.End()
-	w := gsitransport.NewStripedWriter(ctx, conns)
-	if _, err := w.Write(data); err != nil {
-		sp.SetError(err)
-		w.CloseWithError(err.Error())
-		return
-	}
-	sp.AddBytes(int64(len(data)))
-	xfer.Add(int64(len(data)))
-	w.Close()
-}
-
-// servePutStriped answers a striped PUT: authorize before inviting any
-// data, grant stripes and a token, reassemble the inbound stripes, and
-// send the verdict on the control connection.
-func (s *Server) servePutStriped(ctx context.Context, conn *gsitransport.Conn, identity gridcert.Name, path string, k int, hint uint64, rctx trace.SpanContext) bool {
-	sp := s.tracer.StartRemote(rctx, "gridftp.server.put")
-	sp.SetPeer(identity.String())
-	if err := s.store.authorize(identity, path, "write"); err != nil {
-		sp.SetError(err)
-		sp.End()
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	x, ok := s.grantStripes(conn, identity, path, k, 0, sp)
-	if x == nil {
-		sp.End()
-		return ok
-	}
-	xfer := s.tracer.Transfers().Begin("put:"+path, identity.String(), len(x.Conns()), sp.Context().TraceID)
-	done := func(err error) {
-		sp.SetError(err)
-		sp.End()
-		xfer.End()
-	}
-	assembled, err := s.runPutStripes(ctx, x.Conns(), hint)
-	x.Release()
-	if err != nil {
-		done(err)
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			return conn.Send(encodeReply(opErr, path, []byte(peerErr.Msg))) == nil
-		}
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	sp.AddBytes(int64(len(assembled)))
-	xfer.Add(int64(len(assembled)))
-	if err := s.store.PutOwned(identity, path, assembled); err != nil {
-		done(err)
-		return conn.Send(encodeReply(opErr, path, []byte(err.Error()))) == nil
-	}
-	done(nil)
-	return conn.Send(encodeReply(opOK, path, nil)) == nil
-}
-
-func (s *Server) runPutStripes(ctx context.Context, conns []*gsitransport.Conn, hint uint64) ([]byte, error) {
-	prealloc := uint64(1 << 20)
-	if hint > prealloc {
-		prealloc = min(hint, uint64(maxPutPrealloc))
-	}
-	r := gsitransport.NewStripedReader(ctx, conns, 0)
-	data, err := r.ReadAll(int(prealloc))
-	r.Drain() // resynchronizes every stripe, or aborts the transfer
-	return data, err
+	return x.Conns(), x.Release, true
 }
 
 // --- client side ---------------------------------------------------------
@@ -328,301 +241,4 @@ func (c *Client) dialStripes(granted int, token []byte, sp *trace.Span) ([]*gsit
 		}
 	}
 	return conns, lanes, nil
-}
-
-// StripedGetReader is an in-flight striped GET: an io.ReadCloser
-// delivering the file in order as its stripes arrive.
-type StripedGetReader struct {
-	r     *gsitransport.StripedReader
-	conns []*gsitransport.Conn
-	size  int64
-	err   error
-	sp    *trace.Span     // nil when untraced
-	lanes []*trace.Span   // per-stripe children, ended at Close
-	xfer  *trace.Transfer // nil when untraced
-}
-
-// Size is the transfer size the server announced in its grant.
-func (g *StripedGetReader) Size() int64 { return g.size }
-
-// Read returns file bytes in global order, io.EOF after every stripe's
-// FIN agrees the file is complete.
-func (g *StripedGetReader) Read(p []byte) (int, error) {
-	n, err := g.r.Read(p)
-	var peerErr *record.PeerError
-	if errors.As(err, &peerErr) {
-		err = fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-	}
-	if err != nil && err != io.EOF {
-		g.err = err
-	}
-	if n > 0 {
-		g.sp.AddBytes(int64(n))
-		g.xfer.Add(int64(n))
-	}
-	return n, err
-}
-
-// finishTrace ends lanes, root span, and transfer registration once.
-func (g *StripedGetReader) finishTrace() {
-	for _, lane := range g.lanes {
-		lane.End()
-	}
-	g.sp.SetError(g.err)
-	g.sp.End()
-	g.xfer.End()
-	g.sp, g.lanes, g.xfer = nil, nil, nil
-}
-
-// Close drains any unread remainder, reaps the stripe readers, and
-// closes the data connections (they are transfer-scoped). A failure
-// Read already returned is not reported again.
-func (g *StripedGetReader) Close() error {
-	defer g.finishTrace()
-	err := g.r.Drain()
-	for _, dc := range g.conns {
-		dc.Close()
-	}
-	if g.err != nil {
-		return nil
-	}
-	g.err = err
-	return err
-}
-
-// GetStripedReader starts a striped GET of path over up to stripes
-// data connections (the server may grant fewer).
-func (c *Client) GetStripedReader(path string, stripes int) (*StripedGetReader, error) {
-	sp := c.tracer.StartRoot("gridftp.get")
-	sp.SetPeer(c.expectHost.String())
-	fail := func(err error) (*StripedGetReader, error) {
-		sp.SetError(err)
-		sp.End()
-		return nil, err
-	}
-	grant, err := c.roundTrip(opGetS, path, traceSuffix(sp, encodeStripeGetReq(stripes)))
-	if err != nil {
-		return fail(err)
-	}
-	granted, size, token, err := decodeStripeGrant(grant)
-	if err != nil {
-		return fail(err)
-	}
-	conns, lanes, err := c.dialStripes(granted, token, sp)
-	if err != nil {
-		return fail(err)
-	}
-	return &StripedGetReader{
-		r:     gsitransport.NewStripedReader(context.Background(), conns, 0),
-		conns: conns,
-		size:  size,
-		sp:    sp,
-		lanes: lanes,
-		xfer:  c.tracer.Transfers().Begin("get:"+path, c.expectHost.String(), granted, sp.Context().TraceID),
-	}, nil
-}
-
-// GetStriped fetches a file over parallel stripes into memory.
-func (c *Client) GetStriped(path string, stripes int) ([]byte, error) {
-	g, err := c.GetStripedReader(path, stripes)
-	if err != nil {
-		return nil, err
-	}
-	hint := 0
-	if g.size > 0 && g.size <= maxPutPrealloc {
-		hint = int(g.size)
-	}
-	data, err := g.r.ReadAll(hint)
-	if err != nil {
-		g.err = err
-		g.Close()
-		var peerErr *record.PeerError
-		if errors.As(err, &peerErr) {
-			return nil, fmt.Errorf("gridftp: server: %s", peerErr.Msg)
-		}
-		return nil, err
-	}
-	g.sp.AddBytes(int64(len(data)))
-	g.xfer.Add(int64(len(data)))
-	g.Close()
-	return data, nil
-}
-
-// StripedPutWriter is an in-flight striped PUT: an io.WriteCloser
-// whose Close completes the transfer and returns the server's verdict
-// from the control connection.
-type StripedPutWriter struct {
-	c     *Client
-	w     *gsitransport.StripedWriter
-	conns []*gsitransport.Conn
-	done  bool
-	sp    *trace.Span     // nil when untraced
-	lanes []*trace.Span   // per-stripe children, ended at Close/Abort
-	xfer  *trace.Transfer // nil when untraced
-}
-
-// Write deals file bytes across the stripes.
-func (w *StripedPutWriter) Write(p []byte) (int, error) {
-	n, err := w.w.Write(p)
-	if n > 0 {
-		w.sp.AddBytes(int64(n))
-		w.xfer.Add(int64(n))
-	}
-	return n, err
-}
-
-func (w *StripedPutWriter) finishTrace(err error) {
-	for _, lane := range w.lanes {
-		lane.End()
-	}
-	w.sp.SetError(err)
-	w.sp.End()
-	w.xfer.End()
-	w.sp, w.lanes, w.xfer = nil, nil, nil
-}
-
-// Close sends the FIN trailer on every stripe and waits for the
-// server's verdict.
-func (w *StripedPutWriter) Close() error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	werr := w.w.Close()
-	_, rerr := w.c.readReply()
-	for _, dc := range w.conns {
-		dc.Close()
-	}
-	if rerr != nil {
-		w.finishTrace(rerr)
-		return rerr
-	}
-	w.finishTrace(werr)
-	return werr
-}
-
-// Abort cancels the transfer: every stripe carries the ERROR record,
-// the server discards the partial file, and the control session stays
-// usable.
-func (w *StripedPutWriter) Abort(reason string) error {
-	if w.done {
-		return nil
-	}
-	w.done = true
-	w.finishTrace(errors.New(reason))
-	w.w.CloseWithError(reason)
-	_, rerr := w.c.readReply()
-	for _, dc := range w.conns {
-		dc.Close()
-	}
-	if rerr == nil {
-		return errors.New("gridftp: server confirmed an aborted transfer")
-	}
-	return nil
-}
-
-// PutStripedWriter starts a striped PUT to path over up to stripes
-// data connections. The server authorizes the write before any grant.
-func (c *Client) PutStripedWriter(path string, stripes int, sizeHint int64) (*StripedPutWriter, error) {
-	var hint uint64
-	if sizeHint > 0 {
-		hint = uint64(sizeHint)
-	}
-	sp := c.tracer.StartRoot("gridftp.put")
-	sp.SetPeer(c.expectHost.String())
-	fail := func(err error) (*StripedPutWriter, error) {
-		sp.SetError(err)
-		sp.End()
-		return nil, err
-	}
-	grant, err := c.roundTrip(opPutS, path, traceSuffix(sp, encodeStripePutReq(stripes, hint)))
-	if err != nil {
-		return fail(err)
-	}
-	granted, _, token, err := decodeStripeGrant(grant)
-	if err != nil {
-		return fail(err)
-	}
-	conns, lanes, err := c.dialStripes(granted, token, sp)
-	if err != nil {
-		return fail(err)
-	}
-	return &StripedPutWriter{
-		c:     c,
-		w:     gsitransport.NewStripedWriter(context.Background(), conns),
-		conns: conns,
-		sp:    sp,
-		lanes: lanes,
-		xfer:  c.tracer.Transfers().Begin("put:"+path, c.expectHost.String(), granted, sp.Context().TraceID),
-	}, nil
-}
-
-// PutStriped stores a file over parallel stripes.
-func (c *Client) PutStriped(path string, stripes int, data []byte) error {
-	w, err := c.PutStripedWriter(path, stripes, int64(len(data)))
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Abort(err.Error())
-		return err
-	}
-	return w.Close()
-}
-
-// ThirdPartyTransferStriped is ThirdPartyTransfer over parallel
-// stripes on both legs: the delegated credential opens striped
-// sessions to source and destination, and the file flows stripes-in to
-// stripes-out without ever materializing.
-func ThirdPartyTransferStriped(client *gridcert.Credential, trust *gridcert.TrustStore,
-	srcAddr string, srcHost gridcert.Name,
-	dstAddr string, dstHost gridcert.Name,
-	srcPath, dstPath string, stripes int) error {
-
-	delegatee, req, err := proxy.NewDelegatee(0, false)
-	if err != nil {
-		return err
-	}
-	reply, err := proxy.HandleDelegation(client, req, proxy.Options{})
-	if err != nil {
-		return err
-	}
-	delegated, err := delegatee.Accept(reply)
-	if err != nil {
-		return err
-	}
-
-	srcConn, err := Dial(srcAddr, delegated, trust, srcHost)
-	if err != nil {
-		return fmt.Errorf("gridftp: third-party: source: %w", err)
-	}
-	defer srcConn.Close()
-	dstConn, err := Dial(dstAddr, delegated, trust, dstHost)
-	if err != nil {
-		return fmt.Errorf("gridftp: third-party: destination: %w", err)
-	}
-	defer dstConn.Close()
-
-	get, err := srcConn.GetStripedReader(srcPath, stripes)
-	if err != nil {
-		return err
-	}
-	put, err := dstConn.PutStripedWriter(dstPath, stripes, get.Size())
-	if err != nil {
-		get.Close()
-		return err
-	}
-	buf := record.Get(transferCopyBuffer)
-	_, err = io.CopyBuffer(put, get, buf.B[:transferCopyBuffer])
-	buf.Free()
-	if err != nil {
-		put.Abort(err.Error())
-		get.Close()
-		return err
-	}
-	if err := put.Close(); err != nil {
-		get.Close()
-		return err
-	}
-	return get.Close()
 }

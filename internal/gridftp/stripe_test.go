@@ -62,7 +62,7 @@ func TestStripedGetReaderStreams(t *testing.T) {
 	if err := c.Put("/data/f", payload); err != nil {
 		t.Fatal(err)
 	}
-	g, err := c.GetStripedReader("/data/f", 3)
+	g, err := c.GetReader("/data/f", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStripedPutUnauthorized(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.PutStripedWriter("/data/nope", 4, 1024); err == nil ||
+	if _, err := c.PutWriter("/data/nope", 4, 1024); err == nil ||
 		!strings.Contains(err.Error(), "denied") {
 		t.Fatalf("unauthorized striped PUT: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestStripedPutAbort(t *testing.T) {
 	}
 	defer c.Close()
 
-	w, err := c.PutStripedWriter("/data/partial", 3, 0)
+	w, err := c.PutWriter("/data/partial", 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +232,9 @@ func TestStripedTokenBoundToIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &StripedGetReader{
-		r:     gsitransport.NewStripedReader(context.Background(), conns, 0),
-		conns: conns,
+	g := &GetReader{
+		r:        gsitransport.NewStripedReader(context.Background(), conns, 0),
+		transfer: transfer{joined: conns},
 	}
 	got, err := io.ReadAll(g)
 	if err != nil || len(got) != 1<<16 {
@@ -270,7 +270,7 @@ func TestThirdPartyTransferStriped(t *testing.T) {
 	if err := srcStore.Put(alice.Identity(), "/exp/big", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := ThirdPartyTransferStriped(alice, trust,
+	if err := ThirdPartyTransfer(alice, trust,
 		src.Addr(), src.Identity(),
 		dst.Addr(), dst.Identity(),
 		"/exp/big", "/mirror/big", 4); err != nil {

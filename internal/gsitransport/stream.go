@@ -43,6 +43,7 @@ type Stream struct {
 	cur    []byte // unread remainder of the current DATA chunk
 	curBuf *record.Buf
 	rerr   error // terminal receive state: io.EOF after FIN, else the failure
+	sized  bool  // the connection's reads are sized for chunk records
 }
 
 // NewStream starts a stream on c, with ctx governing every record it
@@ -52,8 +53,17 @@ func NewStream(ctx context.Context, c *Conn) *Stream {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.SetReceiveSizeHint(chunkRecvHint)
 	return &Stream{c: c, ctx: ctx, chunkSize: record.DefaultChunkSize}
+}
+
+// sizeReads pre-sizes the connection's record reads for chunk records
+// once the receive half is first used, so a stream that only writes
+// leaves the connection's read sizing alone.
+func (s *Stream) sizeReads() {
+	if !s.sized {
+		s.sized = true
+		s.c.SetReceiveSizeHint(chunkRecvHint)
+	}
 }
 
 // Conn returns the connection the stream rides on.
@@ -178,6 +188,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		if len(p) == 0 {
 			return 0, nil
 		}
+		s.sizeReads()
 		view, buf, err := s.c.ReceiveView(s.ctx)
 		if err != nil {
 			s.rerr = err
@@ -243,6 +254,7 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 		return data, s.rerr
 	}
 
+	s.sizeReads()
 	op := record.NewOpenPipeline(s.c.Context(), 0, 0)
 	fullToken := gss.WrapOverhead + record.ChunkHeader + s.chunkSize
 	proceed := make(chan bool, 1)
@@ -338,10 +350,13 @@ func (s *Stream) ReadAll(sizeHint int) ([]byte, error) {
 	}
 }
 
-// Drain consumes and discards the peer's remaining chunks until FIN,
-// leaving the connection synchronized. Returns nil when the stream
-// ended cleanly (including a stream already fully read).
+// Drain consumes and discards the peer's remaining chunks until its
+// terminal record and ends the receive half, leaving the connection
+// synchronized unless the stream failed. Returns nil on a clean end
+// (including a stream already fully read), the *record.PeerError on a
+// peer abort, and otherwise the failure.
 func (s *Stream) Drain() error {
+	defer s.release()
 	var scratch [4096]byte
 	for {
 		_, err := s.Read(scratch[:])
@@ -354,15 +369,22 @@ func (s *Stream) Drain() error {
 	}
 }
 
-// Release returns the stream's buffered state to the pool and restores
-// the connection's default receive sizing. Called by stream owners that
-// end a stream without reading it to FIN; the stream must not be used
-// afterwards.
-func (s *Stream) Release() {
+// Abort ends the receive half without reading it to its terminal
+// record: the connection is poisoned and not reusable afterwards.
+func (s *Stream) Abort() {
+	s.c.abortReads()
+	s.release()
+}
+
+// release returns the stream's buffered state to the pool and restores
+// the connection's default receive sizing.
+func (s *Stream) release() {
 	if s.curBuf != nil {
 		s.curBuf.Free()
 		s.curBuf = nil
 		s.cur = nil
 	}
-	s.c.SetReceiveSizeHint(0)
+	if s.sized {
+		s.c.SetReceiveSizeHint(0)
+	}
 }

@@ -14,16 +14,73 @@ import (
 	"repro/internal/record"
 )
 
-// Striped transfer: one logical byte stream fanned over K secured
-// connections, GridFTP parallel-stripes style. The sender stamps every
-// DATA chunk with a *global* sequence number before dealing it
+// A transfer is one logical byte stream over K ≥ 1 secured
+// connections, all carrying the same chunk format: DATA chunks numbered
+// 0…n-1 and a FIN whose sequence field is n. Open picks the
+// implementation from K. One connection runs a Stream, whose large
+// writes seal on a worker pipeline and whose ReadAll opens on one. K > 1
+// fans the stream GridFTP parallel-stripes style: the sender stamps
+// every DATA chunk with its global sequence number before dealing it
 // round-robin to a stripe, so each stripe's record protection covers
-// the ordering information; the receiver reassembles through a
-// windowed StripeAssembler. Every stripe terminates with a FIN whose
-// sequence field carries the transfer's total chunk count — the FIN
-// trailer — so a stripe that dies mid-flight always surfaces as an
+// the ordering information, and the receiver reassembles through a
+// windowed StripeAssembler. Every stripe terminates with the FIN
+// trailer, so a stripe that dies mid-flight always surfaces as an
 // error, never as a silently truncated file (see internal/record's
-// stripe.go for the invariant).
+// stripe.go for the invariant). A one-stripe StripedWriter would put
+// the same bytes on the wire as a Stream, but it seals on a single
+// lane goroutine: a large Write through it is measurably slower than
+// Stream's pipelined seal (DESIGN.md, "Why K = 1 is not a one-lane
+// StripedWriter"), so K = 1 stays on Stream.
+
+// Reader is the receive half of a transfer. Read and ReadAll deliver
+// bytes in order, io.EOF (Read) or nil (ReadAll) after the terminal
+// FIN. Drain ends the half: it reads to the terminal record and
+// returns nil on a clean end, the *record.PeerError on a peer abort,
+// and otherwise the failure that left the connections unusable. Abort
+// ends it without reading on, poisoning the connections.
+type Reader interface {
+	io.Reader
+	ReadAll(sizeHint int) ([]byte, error)
+	Drain() error
+	Abort()
+}
+
+// Writer is the send half of a transfer: CloseWrite ends it with FIN,
+// CloseWithError with an ERROR record the peer reads as a
+// *record.PeerError.
+type Writer interface {
+	io.Writer
+	CloseWrite() error
+	CloseWithError(msg string) error
+}
+
+// Half selects which halves of a transfer Open starts.
+type Half uint8
+
+// The halves of a transfer, combinable with |.
+const (
+	ReadHalf Half = 1 << iota
+	WriteHalf
+)
+
+// Open starts one transfer over conns. With K > 1 it starts the
+// per-stripe goroutines of the requested halves only and returns nil
+// for the other; a Stream serves both halves whichever are requested.
+// The caller's protocol must have put every connection in agreement
+// that chunk records for this transfer follow.
+func Open(ctx context.Context, conns []*Conn, halves Half) (r Reader, w Writer) {
+	if len(conns) == 1 {
+		st := NewStream(ctx, conns[0])
+		return st, st
+	}
+	if halves&ReadHalf != 0 {
+		r = NewStripedReader(ctx, conns, 0)
+	}
+	if halves&WriteHalf != 0 {
+		w = NewStripedWriter(ctx, conns)
+	}
+	return r, w
+}
 
 // ErrStripeAborted reports a striped transfer torn down by Abort.
 var ErrStripeAborted = errors.New("gsitransport: striped transfer aborted")
@@ -141,9 +198,9 @@ func (w *StripedWriter) terminate(mk func(dst []byte) []byte) {
 	}
 }
 
-// Close sends the FIN trailer — total chunk count — on every stripe,
-// waits for all lanes to flush, and returns the first failure.
-func (w *StripedWriter) Close() error {
+// CloseWrite sends the FIN trailer — total chunk count — on every
+// stripe, waits for all lanes to flush, and returns the first failure.
+func (w *StripedWriter) CloseWrite() error {
 	if !w.closed {
 		w.closed = true
 		if !w.finSent && w.Err() == nil {

@@ -147,7 +147,7 @@ func TestStripedRoundTrip(t *testing.T) {
 	if _, err := w.Write(payload); err != nil {
 		t.Fatalf("striped write: %v", err)
 	}
-	if err := w.Close(); err != nil {
+	if err := w.CloseWrite(); err != nil {
 		t.Fatalf("striped close: %v", err)
 	}
 	r := <-got
@@ -203,7 +203,7 @@ func TestStripedDeadStripeDetected(t *testing.T) {
 		s.Close()
 	}
 	w.Write(payload[len(payload)/2:])
-	if w.Close() == nil {
+	if w.CloseWrite() == nil {
 		t.Fatal("writer did not notice the dead stripe")
 	}
 }

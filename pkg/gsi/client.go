@@ -477,10 +477,8 @@ var (
 
 	_ Stream = (*gt2Stream)(nil)
 	_ Stream = (*gt3Stream)(nil)
-	_ Stream = (*gt2StripedStream)(nil)
 	_ Stream = (*serverGT2Stream)(nil)
 	_ Stream = (*serverGT3Stream)(nil)
-	_ Stream = (*serverStripedStream)(nil)
 	_ Stream = (*pooledStream)(nil)
 	_ Stream = (*ownedStream)(nil)
 )

@@ -121,7 +121,7 @@ func (o *ownedStream) Close() error {
 	return errors.Join(o.Stream.Close(), o.sess.Close())
 }
 
-// --- GT2: chunk records on the connection's record stream ---------------
+// --- GT2: chunk records on the connections' record streams -------------
 
 // OpenStream on a GT2 session: one gsi.__stream.open round trip
 // (carrying op for server-side authorization), then the connection's
@@ -133,61 +133,78 @@ func (s *gt2Session) OpenStream(ctx context.Context, op string) (Stream, error) 
 		return nil, opErr(opName, fmt.Errorf("gsi: invalid stream op %q", op))
 	}
 	s.mu.Lock()
-	payload, buf, err := s.roundTrip(ctx, streamOpenOp, []byte(op))
+	_, buf, err := s.roundTrip(ctx, streamOpenOp, []byte(op))
 	if err != nil {
 		s.mu.Unlock()
 		return nil, opErr(opName, err)
 	}
-	_ = payload
 	buf.Free()
-	return &gt2Stream{sess: s, st: gsitransport.NewStream(ctx, s.conn)}, nil
+	return newGT2Stream(ctx, []*gt2Session{s}), nil
 }
 
+// gt2Stream is the client-side GT2 Stream over K ≥ 1 sessions — one for
+// OpenStream, the stripes of OpenStripedStream — each locked for the
+// stream's duration. Close resynchronizes every connection before
+// unlocking, then releases the checkouts the stream owns (a striped
+// stream owns its stripes'), so a pooling client parks only clean
+// connections.
 type gt2Stream struct {
-	sess   *gt2Session
-	st     *gsitransport.Stream
-	closed bool
+	members []*gt2Session
+	owners  []Session
+	r       gsitransport.Reader
+	w       gsitransport.Writer
+	closed  atomic.Bool
+}
+
+func newGT2Stream(ctx context.Context, members []*gt2Session) *gt2Stream {
+	conns := make([]*gsitransport.Conn, len(members))
+	for i, m := range members {
+		conns[i] = m.conn
+	}
+	r, w := gsitransport.Open(ctx, conns, gsitransport.ReadHalf|gsitransport.WriteHalf)
+	return &gt2Stream{members: members, r: r, w: w}
 }
 
 func (g *gt2Stream) Read(p []byte) (int, error) {
-	n, err := g.st.Read(p)
+	n, err := g.r.Read(p)
 	return n, streamErr(err)
 }
 
 func (g *gt2Stream) Write(p []byte) (int, error) {
-	n, err := g.st.Write(p)
+	n, err := g.w.Write(p)
 	return n, streamErr(err)
 }
 
-func (g *gt2Stream) CloseWrite() error { return streamErr(g.st.CloseWrite()) }
+func (g *gt2Stream) CloseWrite() error { return streamErr(g.w.CloseWrite()) }
 
-func (g *gt2Stream) Peer() Peer { return g.sess.conn.Peer() }
+func (g *gt2Stream) Peer() Peer { return g.members[0].conn.Peer() }
 
-// Close terminates both halves and returns the connection to
+// Close terminates both halves and returns the connections to
 // exchange mode: FIN the write half if still open, consume the read
-// half to its terminal record. Only then is the record stream at a
-// frame boundary again — a failure here leaves the session broken,
+// half to its terminal record. Only then is each record stream at a
+// frame boundary again — a failure here leaves the sessions broken,
 // which a pooling client observes via the health check at release.
 func (g *gt2Stream) Close() error {
-	if g.closed {
+	if g.closed.Swap(true) {
 		return nil
 	}
-	g.closed = true
-	defer g.sess.mu.Unlock()
-	defer g.st.Release()
-	var firstErr error
-	if err := g.st.CloseWrite(); err != nil {
-		firstErr = err
+	err := g.w.CloseWrite()
+	// A peer abort already surfaced through Read; its terminal record
+	// still resynchronized the connections.
+	var peerErr *record.PeerError
+	if derr := g.r.Drain(); derr != nil && !errors.As(derr, &peerErr) && err == nil {
+		err = derr
 	}
-	if err := g.st.Drain(); err != nil && firstErr == nil {
-		var peerErr *record.PeerError
-		if !errors.As(err, &peerErr) {
-			firstErr = err
+	for _, m := range g.members {
+		m.mu.Unlock()
+	}
+	err = streamErr(err)
+	for _, o := range g.owners {
+		if cerr := o.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
 		}
-		// A peer abort already surfaced through Read; the terminal
-		// record still resynchronized the connection.
 	}
-	return streamErr(firstErr)
+	return err
 }
 
 // streamErr classifies stream-level failures at the facade boundary.
@@ -208,27 +225,73 @@ func streamErr(err error) error {
 	return &Error{Op: "gsi.Stream", Kind: classify(err), Err: err}
 }
 
-// serverGT2Stream is the handler-facing stream on a GT2 server
-// connection. Termination and drain are owned by the serve loop
-// (serveGT2Stream), so Close here only flushes the write half.
+// serverGT2Stream is the handler-facing stream over a GT2 server's
+// connections. Termination and drain are owned by runGT2Stream, so
+// Close here only flushes the write half.
 type serverGT2Stream struct {
-	st   *gsitransport.Stream
+	r    gsitransport.Reader
+	w    gsitransport.Writer
 	peer Peer
 }
 
 func (s *serverGT2Stream) Read(p []byte) (int, error) {
-	n, err := s.st.Read(p)
+	n, err := s.r.Read(p)
 	return n, streamErr(err)
 }
 
 func (s *serverGT2Stream) Write(p []byte) (int, error) {
-	n, err := s.st.Write(p)
+	n, err := s.w.Write(p)
 	return n, streamErr(err)
 }
 
-func (s *serverGT2Stream) CloseWrite() error { return streamErr(s.st.CloseWrite()) }
-func (s *serverGT2Stream) Close() error      { return streamErr(s.st.CloseWrite()) }
+func (s *serverGT2Stream) CloseWrite() error { return streamErr(s.w.CloseWrite()) }
+func (s *serverGT2Stream) Close() error      { return streamErr(s.w.CloseWrite()) }
 func (s *serverGT2Stream) Peer() Peer        { return s.peer }
+
+// runGT2Stream runs the StreamHandler for an opened, authorized stream
+// over conns — the one connection of a stream open, or every stripe of
+// a striped group — then terminates the server half (the handler's
+// error travels as the ERROR record) and consumes the client half so
+// every connection resynchronizes. sp, when traced, becomes the
+// stream's span and the stream registers as transfer name+op. Reports
+// whether the connections are still usable.
+func runGT2Stream(ctx context.Context, cfg ServeConfig, conns []*gsitransport.Conn, peer Peer, op, name string, sp *trace.Span) bool {
+	// Record I/O runs under Background like the exchange loop's:
+	// cancellation arrives through the connection-lifetime CloseOnDone
+	// watcher, not a per-record watcher goroutine.
+	r, w := gsitransport.Open(context.Background(), conns, gsitransport.ReadHalf|gsitransport.WriteHalf)
+	var hstream Stream = &serverGT2Stream{r: r, w: w, peer: peer}
+	var ts *tracedStream
+	if sp != nil {
+		// The traced wrapper accounts bytes and cumulative seal/open
+		// pipeline time; it ends sp (emitting the pipeline child spans)
+		// when the handler is done, registering the stream as an active
+		// transfer meanwhile.
+		dn := peerDNOf(peer)
+		sp.SetPeer(dn)
+		ts = newTracedStream(hstream, sp, "server")
+		ts.xfer = cfg.Tracer.Transfers().Begin(name+op, dn, len(conns), sp.Context().TraceID)
+		hstream = ts
+	}
+	herr := cfg.StreamHandler(ctx, peer, op, hstream)
+	if ts != nil {
+		ts.finish(herr)
+	}
+	var err error
+	if herr != nil {
+		err = w.CloseWithError(herr.Error())
+	} else {
+		err = w.CloseWrite()
+	}
+	if err != nil {
+		r.Abort()
+		return false
+	}
+	// A client-side abort is a clean termination too.
+	var peerErr *record.PeerError
+	err = r.Drain()
+	return err == nil || errors.As(err, &peerErr)
+}
 
 // --- GT3: chunk records as conversation calls ---------------------------
 //

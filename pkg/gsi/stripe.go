@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/gsitransport"
 	"repro/internal/record"
@@ -19,11 +18,12 @@ import (
 // is an ordinary pooled session — the handshake amortization of the
 // pool applies per stripe — and each stripe seals/opens on its own
 // connection, so K stripes drive up to K cores through the record
-// layer. The data plane is internal/gsitransport's StripedWriter and
-// StripedReader: globally sequenced DATA chunks dealt round-robin, and
-// a FIN trailer carrying the total chunk count on every stripe, so a
-// stripe that dies mid-flight is always an error, never a silently
-// truncated transfer.
+// layer. Only the open differs from OpenStream's: both ends then run
+// the same gt2Stream/runGT2Stream pair over gsitransport.Open, whose
+// striped data plane deals globally sequenced DATA chunks round-robin
+// and ends every stripe with a FIN trailer carrying the total chunk
+// count, so a stripe that dies mid-flight is always an error, never a
+// silently truncated transfer.
 
 // stripedOpenOp binds one session into a striped stream; its body is a
 // stripedOpen. The server authorizes the op on every stripe. Stripe 0
@@ -160,17 +160,9 @@ func (c *Client) OpenStripedStream(ctx context.Context, endpoint, op string, opt
 			return fail(errors.New("gsi: malformed stripe group token"))
 		}
 	}
-	conns := make([]*gsitransport.Conn, k)
-	for i, m := range members {
-		conns[i] = m.conn
-	}
-	var out Stream = &gt2StripedStream{
-		members: members,
-		owners:  owners,
-		w:       gsitransport.NewStripedWriter(ctx, conns),
-		r:       gsitransport.NewStripedReader(ctx, conns, 0),
-		peer:    members[0].conn.Peer(),
-	}
+	st := newGT2Stream(ctx, members)
+	st.owners = owners
+	var out Stream = st
 	if sp != nil {
 		dn := peerDNOf(members[0].conn.Peer())
 		sp.SetPeer(dn)
@@ -197,82 +189,6 @@ func gt2SessionOf(s Session) *gt2Session {
 	}
 }
 
-// gt2StripedStream is the client-side striped Stream: K locked
-// sessions, a striped writer/reader pair over their connections, and a
-// Close that resynchronizes every stripe before releasing the
-// checkouts (so a pooling client parks only clean connections).
-type gt2StripedStream struct {
-	members []*gt2Session
-	owners  []Session
-	w       *gsitransport.StripedWriter
-	r       *gsitransport.StripedReader
-	peer    Peer
-	closed  atomic.Bool
-}
-
-func (g *gt2StripedStream) Read(p []byte) (int, error) {
-	n, err := g.r.Read(p)
-	return n, streamErr(err)
-}
-
-func (g *gt2StripedStream) Write(p []byte) (int, error) {
-	n, err := g.w.Write(p)
-	return n, streamErr(err)
-}
-
-func (g *gt2StripedStream) CloseWrite() error { return streamErr(g.w.Close()) }
-
-func (g *gt2StripedStream) Peer() Peer { return g.peer }
-
-// Close terminates both halves — FIN trailer on every stripe if the
-// write half is still open, read half consumed to completion — and
-// releases every session. A stripe that cannot resynchronize leaves
-// its connection broken, which the pool observes at release.
-func (g *gt2StripedStream) Close() error {
-	if g.closed.Swap(true) {
-		return nil
-	}
-	firstErr := g.w.Close()
-	// A peer abort already reached Read; only a stripe that could not
-	// resynchronize fails Close.
-	var peerErr *record.PeerError
-	if err := g.r.Drain(); err != nil && !errors.As(err, &peerErr) && firstErr == nil {
-		firstErr = err
-	}
-	for _, m := range g.members {
-		m.mu.Unlock()
-	}
-	for _, o := range g.owners {
-		if err := o.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return streamErr(firstErr)
-}
-
-// serverStripedStream is the handler-facing Stream of a striped group.
-// Termination and drain are owned by the group runner, so Close only
-// flushes the write half (mirroring serverGT2Stream).
-type serverStripedStream struct {
-	w    *gsitransport.StripedWriter
-	r    *gsitransport.StripedReader
-	peer Peer
-}
-
-func (s *serverStripedStream) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	return n, streamErr(err)
-}
-
-func (s *serverStripedStream) Write(p []byte) (int, error) {
-	n, err := s.w.Write(p)
-	return n, streamErr(err)
-}
-
-func (s *serverStripedStream) CloseWrite() error { return streamErr(s.w.Close()) }
-func (s *serverStripedStream) Close() error      { return streamErr(s.w.Close()) }
-func (s *serverStripedStream) Peer() Peer        { return s.peer }
-
 // serveGT2StripedOpen handles one gsi.__stream.sopen exchange: validate
 // and authorize the carried op (per stripe — the decision cache makes
 // repeats cheap), then open the group (stripe 0) or join it (stripes
@@ -283,11 +199,7 @@ func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg Serve
 	bg := context.Background()
 	req, derr := decodeStripedOpen(body)
 	rbuf.Free()
-	refuse := func(status byte, err error) bool {
-		sp.SetError(err)
-		sp.End()
-		return sendGT2Reply(bg, conn, status, []byte(err.Error())) == nil
-	}
+	refuse := func(status byte, err error) bool { return refuseStream(conn, sp, status, err) }
 	if cfg.StreamHandler == nil {
 		return refuse(gt2StatusNotFound, errors.New("gsi: endpoint does not accept streams"))
 	}
@@ -330,44 +242,10 @@ func serveGT2StripedOpen(ctx context.Context, conn *gsitransport.Conn, cfg Serve
 		sp.End()
 		return false
 	}
-	runStripeGroup(ctx, cfg, append([]*gsitransport.Conn{conn}, grp.Conns()...), exPeer, req.op, sp)
+	// Stripe 0's lane span parents a server.stream span covering the
+	// handler's whole transfer.
+	ok := runGT2Stream(ctx, cfg, append([]*gsitransport.Conn{conn}, grp.Conns()...), exPeer, req.op, "sopen:", sp.StartChild("server.stream"))
 	grp.Release()
 	sp.End()
-	return !conn.Broken()
-}
-
-// runStripeGroup executes one striped stream on stripe 0's goroutine:
-// handler, terminal records on every stripe, then the client half
-// consumed so all K connections resynchronize. Stripe 0's lane span
-// (when traced) parents a server.stream span covering the handler's
-// whole transfer.
-func runStripeGroup(ctx context.Context, cfg ServeConfig, conns []*gsitransport.Conn, peer Peer, op string, sp *trace.Span) {
-	bg := context.Background() // conn-lifetime CloseOnDone carries cancellation
-	w := gsitransport.NewStripedWriter(bg, conns)
-	r := gsitransport.NewStripedReader(bg, conns, 0)
-	var hstream Stream = &serverStripedStream{w: w, r: r, peer: peer}
-	var ts *tracedStream
-	if sp != nil && cfg.Tracer != nil {
-		gsp := sp.StartChild("server.stream")
-		dn := peerDNOf(peer)
-		gsp.SetPeer(dn)
-		ts = newTracedStream(hstream, gsp, "server")
-		ts.xfer = cfg.Tracer.Transfers().Begin("sopen:"+op, dn, len(conns), gsp.Context().TraceID)
-		hstream = ts
-	}
-	herr := cfg.StreamHandler(ctx, peer, op, hstream)
-	if ts != nil {
-		ts.finish(herr)
-	}
-	var closeErr error
-	if herr != nil {
-		closeErr = w.CloseWithError(herr.Error())
-	} else {
-		closeErr = w.Close()
-	}
-	if closeErr != nil {
-		r.Abort()
-		return
-	}
-	r.Drain()
+	return ok
 }

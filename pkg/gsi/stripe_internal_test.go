@@ -75,7 +75,7 @@ func TestStripedOpenTokenBoundToIdentity(t *testing.T) {
 	if _, err := sw.Write([]byte("alice's bytes")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
+	if err := sw.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sr.Drain(); err != nil {

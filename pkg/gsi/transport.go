@@ -500,75 +500,34 @@ func serveGT2Conn(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig,
 }
 
 // serveGT2Stream handles one stream open on a GT2 connection: authorize
-// the named op (once per stream), hand the stream to the StreamHandler,
-// and resynchronize the record stream when the handler returns. Reports
-// whether the connection is still usable.
+// the named op (once per stream) and run the stream. Reports whether
+// the connection is still usable.
 func serveGT2Stream(ctx context.Context, conn *gsitransport.Conn, cfg ServeConfig, peer Peer, op string, rbuf *record.Buf, sp *trace.Span) bool {
 	rbuf.Free()
 	if cfg.StreamHandler == nil {
-		err := errors.New("gsi: endpoint does not accept streams")
-		sp.SetError(err)
-		sp.End()
-		return sendGT2Reply(context.Background(), conn, gt2StatusNotFound, []byte(err.Error())) == nil
+		return refuseStream(conn, sp, gt2StatusNotFound, errors.New("gsi: endpoint does not accept streams"))
 	}
 	if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
-		err := errors.New("gsi: invalid stream op " + op)
-		sp.SetError(err)
-		sp.End()
-		return sendGT2Reply(context.Background(), conn, gt2StatusNotFound, []byte(err.Error())) == nil
+		return refuseStream(conn, sp, gt2StatusNotFound, errors.New("gsi: invalid stream op "+op))
 	}
 	exPeer, authErr := cfg.authorizer.authorize(spanContext(ctx, sp), peer, exchangeResource, op)
 	if authErr != nil {
-		sp.SetError(authErr)
-		sp.End()
-		return sendGT2Reply(context.Background(), conn, gt2Status(authErr), []byte(authErr.Error())) == nil
+		return refuseStream(conn, sp, gt2Status(authErr), authErr)
 	}
 	if err := sendGT2Reply(context.Background(), conn, gt2StatusOK, nil); err != nil {
 		sp.SetError(err)
 		sp.End()
 		return false
 	}
-	// The stream's record I/O runs under Background like the exchange
-	// loop's: cancellation arrives through the connection-lifetime
-	// CloseOnDone watcher, not a per-record watcher goroutine.
-	st := gsitransport.NewStream(context.Background(), conn)
-	var hstream Stream = &serverGT2Stream{st: st, peer: exPeer}
-	var ts *tracedStream
-	if sp != nil {
-		// The traced wrapper accounts bytes and cumulative seal/open
-		// pipeline time; it ends sp (emitting the pipeline child spans)
-		// when the handler is done, registering the stream as an active
-		// transfer meanwhile.
-		ts = newTracedStream(hstream, sp, "server")
-		ts.xfer = cfg.Tracer.Transfers().Begin("stream:"+op, peerDNOf(exPeer), 1, sp.Context().TraceID)
-		hstream = ts
-	}
-	serr := cfg.StreamHandler(ctx, exPeer, op, hstream)
-	if ts != nil {
-		ts.finish(serr)
-	}
-	// Terminate the server half: the handler's error travels as the
-	// stream's terminal record.
-	if serr != nil {
-		if err := st.CloseWithError(serr.Error()); err != nil {
-			st.Release()
-			return false
-		}
-	} else if err := st.CloseWrite(); err != nil {
-		st.Release()
-		return false
-	}
-	// Resynchronize: consume the client half to its FIN if the handler
-	// did not. A client-side abort is a clean termination too.
-	if err := st.Drain(); err != nil {
-		var peerErr *record.PeerError
-		if !errors.As(err, &peerErr) {
-			st.Release()
-			return false
-		}
-	}
-	st.Release()
-	return true
+	return runGT2Stream(ctx, cfg, []*gsitransport.Conn{conn}, exPeer, op, "stream:", sp)
+}
+
+// refuseStream answers a stream open with status and err, ending sp.
+// Reports whether the connection is still usable.
+func refuseStream(conn *gsitransport.Conn, sp *trace.Span, status byte, err error) bool {
+	sp.SetError(err)
+	sp.End()
+	return sendGT2Reply(context.Background(), conn, status, []byte(err.Error())) == nil
 }
 
 type gt2Endpoint struct {

@@ -10,7 +10,7 @@
 //     64 MiB as a streamed gridftp PUT in 256 KiB records through
 //     pooled buffers, sealed and opened in place. (On multicore hosts
 //     the chunked path additionally pipelines the sender's seal
-//     against the receiver's open; single-core CI measures only the
+//     against the receiver's open; a single core measures only the
 //     per-byte work removed.)
 //
 // `make bench-record` records both (plus the steady-state exchange and
@@ -297,11 +297,12 @@ func BenchmarkStreamTransfer64M(b *testing.B) {
 
 // BenchmarkStripedTransfer64M: the PR 7 multicore path — the same
 // 64 MiB as a striped gridftp PUT over 4 parallel data connections,
-// each sealing and opening on its own goroutine. On a multicore host
-// the stripes run on separate cores and wall clock drops toward 1/K of
-// the single-stream path; on a single-core host (this CI box has one
-// vCPU) it measures the same per-byte work plus coordination, so treat
-// cross-machine comparisons accordingly (see DESIGN.md).
+// each sealing and opening on its own goroutine. With a core per
+// stripe the stripes run on separate cores and wall clock drops toward
+// 1/K of the single-stream path; with fewer cores it measures the same
+// per-byte work plus coordination. The BENCH_record.json row was
+// recorded on 2026-08-08 on an earlier host, so compare rows only from
+// one host (see DESIGN.md's host caveat).
 func BenchmarkStripedTransfer64M(b *testing.B) {
 	world := newBenchFTPWorld(b)
 	policy := authz.NewPolicy(authz.DenyOverrides).Add(authz.Rule{

@@ -206,6 +206,13 @@ type stripeKillerProxy struct {
 	killAfter int64
 	killed    atomic.Bool
 	wg        sync.WaitGroup
+
+	// Accepted connections, closed at cleanup: the client's pool may
+	// still hold sessions through them, and their relays must end for
+	// the cleanup's wait to return.
+	mu      sync.Mutex
+	conns   []net.Conn
+	closing bool
 }
 
 func newStripeKillerProxy(t *testing.T, backend string, killAfter int64) *stripeKillerProxy {
@@ -216,7 +223,16 @@ func newStripeKillerProxy(t *testing.T, backend string, killAfter int64) *stripe
 	}
 	p := &stripeKillerProxy{ln: ln, backend: backend, killAfter: killAfter}
 	go p.acceptLoop()
-	t.Cleanup(func() { ln.Close(); p.wg.Wait() })
+	t.Cleanup(func() {
+		ln.Close()
+		p.mu.Lock()
+		p.closing = true
+		for _, c := range p.conns {
+			c.Close()
+		}
+		p.mu.Unlock()
+		p.wg.Wait()
+	})
 	return p
 }
 
@@ -228,7 +244,17 @@ func (p *stripeKillerProxy) acceptLoop() {
 		if err != nil {
 			return
 		}
-		p.wg.Add(1)
+		p.mu.Lock()
+		closing := p.closing
+		if !closing {
+			p.conns = append(p.conns, c)
+			p.wg.Add(1)
+		}
+		p.mu.Unlock()
+		if closing {
+			c.Close()
+			return
+		}
 		go p.relay(c)
 	}
 }
