@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=5s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAssertion$$' -fuzztime=5s ./internal/cas
 
 ## bench: regenerate the paper's measurements.
 bench:
@@ -176,18 +177,18 @@ bench-trace:
 ## gate-allocs: the fast CI regression gate — steady-state pooled
 ## Exchange must stay ≤ 2 allocs/op with metrics attached and with
 ## tracing compiled in but disabled, the idle probe at 0, the telemetry
-## and span-lifecycle hot paths at 0, and a cached authorization
-## decision over WAL-backed durable state at 0 (durability is paid at
-## mutation time, never on the decision hot path), and a group-committed
-## WAL append at 1 — the same single frame-buffer allocation as
+## and span-lifecycle hot paths at 0, a cached authorization decision
+## at 0 both in memory and over WAL-backed durable state (durability is
+## paid at mutation time, never on the decision hot path), and a
+## group-committed WAL append at 1 — the same single frame-buffer allocation as
 ## SyncAlways, so batching never buys throughput with garbage.
 gate-allocs:
-	{ $(GO) test -run '^$$' -bench '^BenchmarkExchangeSteadyState$$|^BenchmarkAuthorizeCachedDurable$$' -benchmem . ; \
+	{ $(GO) test -run '^$$' -bench '^BenchmarkExchangeSteadyState$$|^BenchmarkAuthorizeCached$$|^BenchmarkAuthorizeCachedDurable$$' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPoolProbe$$|^BenchmarkExchangeInstrumented$$|^BenchmarkExchangeTracingDisabled$$' -benchmem ./pkg/gsi ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCounterInc$$|^BenchmarkHistogramObserve$$' -benchmem ./internal/telemetry ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSpanStartEnd$$' -benchmem ./internal/trace ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkWALAppendSync(Always|Batched)1$$' -benchmem ./internal/wal ; } \
-	| $(GO) run ./cmd/bench2json -gate-allocs 'ExchangeSteadyState=2,PoolProbe=0,ExchangeInstrumented=2,CounterInc=0,HistogramObserve=0,ExchangeTracingDisabled=2,SpanStartEnd=0,AuthorizeCachedDurable=0,WALAppendSyncAlways1=1,WALAppendSyncBatched1=1' > /dev/null
+	| $(GO) run ./cmd/bench2json -gate-allocs 'ExchangeSteadyState=2,PoolProbe=0,ExchangeInstrumented=2,CounterInc=0,HistogramObserve=0,ExchangeTracingDisabled=2,SpanStartEnd=0,AuthorizeCached=0,AuthorizeCachedDurable=0,WALAppendSyncAlways1=1,WALAppendSyncBatched1=1' > /dev/null
 
 ## fmt: rewrite files in place.
 fmt:

@@ -113,6 +113,11 @@ func DecodeAssertion(b []byte) (*Assertion, error) {
 	if a.Subject, err = gridcert.ParseName(subjStr); err != nil {
 		return nil, err
 	}
+	// An empty name parses but re-encodes as "/", which does not: the
+	// decoded assertion would differ from the one it re-encodes to.
+	if a.VO.Empty() || a.Subject.Empty() {
+		return nil, errors.New("cas: assertion must name its VO and subject")
+	}
 	a.Signature = sig
 	return a, nil
 }

@@ -164,3 +164,36 @@ func TestAssertionCarriesVOAttributes(t *testing.T) {
 		t.Fatal("group-gated policy permitted a chain without the VO attribute")
 	}
 }
+
+// TestNilLocalPolicyDenies: an enforcer built without local policy
+// states no local permission, so nothing is permitted — with or without
+// an assertion. It used to dereference the nil policy and panic.
+func TestNilLocalPolicyDenies(t *testing.T) {
+	bed := newVOBed(t)
+	enf := NewEnforcer(bed.trust, nil)
+	enf.TrustVO(bed.server.Certificate())
+	plain, err := proxy.New(bed.alice, proxy.Options{Lifetime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := bed.server.IssueAssertion(bed.alice.Identity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withVO, err := EmbedInProxy(bed.alice, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, chain := range map[string][]*gridcert.Certificate{
+		"assertion-free":    plain.Chain,
+		"assertion-bearing": withVO.Chain,
+	} {
+		res, err := enf.Authorize(chain, "data:/climate/run1", "read", time.Now())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Decision != authz.Deny || res.Local != authz.NotApplicable {
+			t.Fatalf("%s: decision %s (local %s), want deny (local not-applicable)", name, res.Decision, res.Local)
+		}
+	}
+}

@@ -2,11 +2,14 @@ package cas
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/authz"
 	"repro/internal/ca"
 	"repro/internal/gridcert"
+	"repro/internal/wire"
 )
 
 // FuzzPolicyBundleDecode feeds arbitrary bytes to the bundle decoder
@@ -188,6 +191,66 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 		if r.Version() != ver || r.Generation() != gen {
 			t.Fatal("refused replay moved the replica")
+		}
+	})
+}
+
+// FuzzDecodeAssertion feeds arbitrary bytes to the assertion decoder,
+// which parses peer-supplied restricted-proxy policy blocks on every
+// cold decision. Decoding must never panic, and anything it accepts must
+// survive an encode/decode round trip unchanged: the signature covers
+// the re-encoded form, so a lossy decode would verify a different
+// statement from the one the peer presented.
+func FuzzDecodeAssertion(f *testing.F) {
+	auth, err := ca.New(gridcert.MustParseName("/O=Fuzz/CN=CA"), 24*time.Hour, ca.DefaultPolicy())
+	if err != nil {
+		f.Fatal(err)
+	}
+	voCred, err := auth.NewEntity(gridcert.MustParseName("/O=Fuzz/CN=VO"), 12*time.Hour)
+	if err != nil {
+		f.Fatal(err)
+	}
+	member := gridcert.MustParseName("/O=Fuzz/CN=Member")
+	server := NewServer(voCred)
+	server.AddMember(member, "g")
+	server.AssignRole(member, "r")
+	server.AddPolicy(authz.Rule{
+		ID:        "vo-read",
+		Effect:    authz.EffectPermit,
+		Groups:    []string{"g"},
+		Resources: []string{"data:/*"},
+		Actions:   []string{"read"},
+		NotAfter:  time.Unix(1<<32, 0),
+	})
+	a, err := server.IssueAssertion(member)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := a.Encode()
+
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/3] ^= 0x40
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0}, 64))
+	// Empty VO and subject names: "" parses, but re-encodes as "/".
+	noNames := wire.NewEncoder().Str("cas-assertion-v2").Str("").Str("").
+		U32(0).U32(0).I64(0).I64(0).U32(0).Finish()
+	f.Add(wire.NewEncoder().Bytes(noNames).Bytes(nil).Finish())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeAssertion(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeAssertion(a.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded assertion does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, a) {
+			t.Fatalf("decode/encode round trip changed the assertion:\n got %+v\nwant %+v", again, a)
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/authz"
 	"repro/internal/cas"
 	"repro/internal/gridcert"
 	"repro/internal/ogsa"
@@ -58,35 +57,30 @@ const DefaultDecisionTTL = 30 * time.Second
 // AuthorizationPipeline is the facade's policy decision point: the
 // paper's §4.1 authorization service joined with Figure 2's resource
 // rule ("the resource checks both local policy and the VO policy").
-// For each exchange it takes the authenticated peer's verified chain,
-// extracts and verifies any embedded CAS assertion, evaluates the
-// intersection of VO and local policy with the peer's community
-// groups/roles in scope, maps the identity through the grid-mapfile,
-// and emits the decision to the audit sink. A sharded decision cache
-// keyed by (credential fingerprint, resource, action, policy
-// generations) makes the hot path one map lookup instead of chain
-// crypto plus rule-list scans.
+// For each exchange it verifies the authenticated peer's chain through
+// the environment's verified-chain cache, decides through a
+// cas.Enforcer (assertion check, VO ∩ local policy), maps the identity
+// through the grid-mapfile, and emits the decision to the audit sink.
+// A sharded decision cache keyed by (credential fingerprint, resource,
+// action, policy generations) makes the hot path one map lookup instead
+// of chain crypto plus rule-list scans.
 //
 // Build one with Environment.NewAuthorizationPipeline and attach it to
 // servers with WithAuthorizationPipeline, or let a Server assemble a
 // private one from WithLocalPolicy/WithTrustedVO/WithGridMap options.
 type AuthorizationPipeline struct {
-	env     *Environment
-	local   *Policy
-	gridmap *GridMap
-	audit   AuditSink
-	cache   *decisionCache // nil when disabled
-	// replica is the pulled CAS policy bundle (WithCASUpstream): when a
-	// member arrives WITHOUT an assertion, the replica answers the VO's
-	// half of the decision from the last applied bundle. nil = none.
-	replica *cas.Replica
+	env *Environment
+	// enforcer makes every Figure-2 decision: it owns the local policy,
+	// the trusted-VO set and the pulled CAS bundle replica
+	// (WithCASUpstream), which answers the VO's half for members who
+	// arrive without an assertion.
+	enforcer *cas.Enforcer
+	gridmap  *GridMap
+	audit    AuditSink
+	cache    *decisionCache // nil when disabled
 	// durable is the WAL-backed state the pipeline's policy/gridmap/audit
 	// came from (WithDurableState); nil for in-memory pipelines.
 	durable *DurableState
-
-	mu    sync.RWMutex
-	vos   map[string]*Certificate // trusted CAS signing certs by VO DN
-	voGen uint64
 }
 
 // TraceAuditSink is the optional extension of AuditSink that carries
@@ -124,12 +118,11 @@ func (e *Environment) NewAuthorizationPipeline(opts ...Option) (*AuthorizationPi
 // newPipeline assembles a pipeline from resolved settings.
 func newPipeline(e *Environment, s settings) *AuthorizationPipeline {
 	p := &AuthorizationPipeline{
-		env:     e,
-		local:   s.authzLocal,
-		gridmap: s.authzGridMap,
-		audit:   s.authzAudit,
-		durable: s.durable,
-		vos:     make(map[string]*Certificate),
+		env:      e,
+		enforcer: cas.NewEnforcer(e.trust, s.authzLocal),
+		gridmap:  s.authzGridMap,
+		audit:    s.authzAudit,
+		durable:  s.durable,
 	}
 	ttl := DefaultDecisionTTL
 	if s.authzTTLSet {
@@ -138,21 +131,19 @@ func newPipeline(e *Environment, s settings) *AuthorizationPipeline {
 	if ttl > 0 {
 		p.cache = newDecisionCache(ttl)
 	}
-	for _, cert := range s.authzVOs {
-		p.vos[cert.Subject.String()] = cert
-	}
+	p.enforcer.TrustVO(s.authzVOs...)
 	if s.casUpstream != nil {
-		p.replica = cas.NewReplica(s.casUpstream.Cert)
+		p.enforcer.Replica = cas.NewReplica(s.casUpstream.Cert)
 		// Bundles from the upstream VO are as trusted as assertions it
 		// signs: pulling implies trusting.
-		p.vos[s.casUpstream.Cert.Subject.String()] = s.casUpstream.Cert
+		p.enforcer.TrustVO(s.casUpstream.Cert)
 	}
 	return p
 }
 
 // Replica returns the pipeline's CAS bundle replica (nil unless
 // WithCASUpstream configured one).
-func (p *AuthorizationPipeline) Replica() *cas.Replica { return p.replica }
+func (p *AuthorizationPipeline) Replica() *cas.Replica { return p.enforcer.Replica }
 
 // DurableState returns the WAL-backed state the pipeline was assembled
 // over (nil for in-memory pipelines).
@@ -162,34 +153,15 @@ func (p *AuthorizationPipeline) DurableState() *DurableState { return p.durable 
 // provider's act of outsourcing a policy slice to that community.
 // Registration bumps the VO-set generation, so cached decisions made
 // under the previous set re-evaluate on their next lookup.
-func (p *AuthorizationPipeline) TrustVO(certs ...*Certificate) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, cert := range certs {
-		p.vos[cert.Subject.String()] = cert
-	}
-	p.voGen++
-}
+func (p *AuthorizationPipeline) TrustVO(certs ...*Certificate) { p.enforcer.TrustVO(certs...) }
 
 // DistrustVO removes a community's signing certificate; assertions it
 // issued stop being honored on the very next exchange.
-func (p *AuthorizationPipeline) DistrustVO(vo Name) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.vos, vo.String())
-	p.voGen++
-}
-
-func (p *AuthorizationPipeline) trustedVO(vo Name) (*Certificate, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	cert, ok := p.vos[vo.String()]
-	return cert, ok
-}
+func (p *AuthorizationPipeline) DistrustVO(vo Name) { p.enforcer.DistrustVO(vo) }
 
 // LocalPolicy returns the pipeline's local policy (nil when none was
 // configured; such a pipeline denies everything).
-func (p *AuthorizationPipeline) LocalPolicy() *Policy { return p.local }
+func (p *AuthorizationPipeline) LocalPolicy() *Policy { return p.enforcer.Local }
 
 // GridMap returns the pipeline's grid-mapfile (nil when none).
 func (p *AuthorizationPipeline) GridMap() *GridMap { return p.gridmap }
@@ -206,20 +178,18 @@ func (p *AuthorizationPipeline) CacheStats() DecisionCacheStats {
 // generations snapshots every counter a cached decision depends on.
 func (p *AuthorizationPipeline) generations() [5]uint64 {
 	var g [5]uint64
-	if p.local != nil {
-		g[0] = p.local.Generation()
+	if local := p.enforcer.Local; local != nil {
+		g[0] = local.Generation()
 	}
 	if p.gridmap != nil {
 		g[1] = p.gridmap.Generation()
 	}
-	p.mu.RLock()
-	g[2] = p.voGen
-	p.mu.RUnlock()
+	g[2] = p.enforcer.VOGeneration()
 	g[3] = p.env.trust.Generation()
-	if p.replica != nil {
+	if replica := p.enforcer.Replica; replica != nil {
 		// Each applied bundle bumps the replica generation, so decisions
 		// computed under the previous bundle stop being addressable.
-		g[4] = p.replica.Generation()
+		g[4] = replica.Generation()
 	}
 	return g
 }
@@ -259,7 +229,7 @@ func (p *AuthorizationPipeline) Authorize(ctx context.Context, peer Peer, resour
 			// drop the entry and take the cold path, which decides from
 			// scratch. A forged hot key can therefore waste one
 			// evaluation, never flip a decision.
-			if info := p.verifiedPeerInfo(peer, now); info != nil && info.Identity.Equal(d.Identity) {
+			if info, err := p.verifiedPeerInfo(peer, now); err == nil && info != nil && info.Identity.Equal(d.Identity) {
 				p.cache.confirmWarm(key, chainNotAfter(peer, leaf))
 				d.Cached = true
 				return p.finish(ctx, d, resource, action)
@@ -312,9 +282,8 @@ func peerLeaf(peer Peer) *Certificate {
 	return nil
 }
 
-// evaluate is the cold path: full chain validation (skipped when the
-// transport already did it), CAS assertion verification, VO ∩ local
-// policy, gridmap mapping. It returns the decision and the instant it
+// evaluate is the cold path: chain validation, the enforcer's Figure-2
+// decision, gridmap mapping. It returns the decision and the instant it
 // may be cached until.
 func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource, action string, now time.Time) (AuthzDecision, time.Time, error) {
 	expiry := now.Add(p.cacheTTL())
@@ -323,155 +292,65 @@ func (p *AuthorizationPipeline) evaluate(peer Peer, leaf *Certificate, resource,
 	if notAfter := chainNotAfter(peer, leaf); notAfter.Before(expiry) {
 		expiry = notAfter
 	}
-
-	info := peer.Info
-	if len(peer.Chain) > 0 {
-		// Re-validate even when the handshake already did: the peer's
-		// Info was computed at connect time, and a long-lived session
-		// must not keep a credential alive across a CRL or root removal.
-		// The environment's verified-chain cache makes this one digest
-		// on the steady state, and its entries are themselves keyed on
-		// trust-store generation and bounded by the validity window —
-		// so revocation bites on the next exchange, not at reconnect.
-		var err error
-		info, err = p.env.trust.VerifyCached(p.env.chains, gridcert.EncodeChain(peer.Chain), peer.Chain, gridcert.VerifyOptions{Now: now})
-		if err != nil {
-			return AuthzDecision{Decision: Deny, Reason: "authentication failed"}, expiry, err
-		}
-	} else if info == nil {
+	info, err := p.verifiedPeerInfo(peer, now)
+	if err != nil {
+		return AuthzDecision{Decision: Deny, Reason: "authentication failed"}, expiry, err
+	}
+	if info == nil {
 		return AuthzDecision{Decision: Deny, Reason: "peer presented no certificate chain"}, expiry, nil
 	}
-	d := AuthzDecision{Identity: info.Identity, VO: NotApplicable}
-	// The environment clock rides on every rule evaluation, so
-	// time-bounded rules are testable under WithClock and consistent
-	// with chain validation (no time.Now fallback inside the engine).
-	req := authz.Request{Subject: info.Identity, Resource: resource, Action: action, Time: now}
-
-	// Assertion handling is the enforcer's exact logic (cas.CheckAssertion
-	// is shared, so the two paths cannot drift): absent falls back to
-	// local policy; present-but-unusable denies outright.
-	assertion, reason, aerr := cas.CheckAssertion(info, p.trustedVO, now)
-	if reason != "" {
-		d.Decision = Deny
-		d.Reason = reason
-		if aerr != nil {
-			// Keep the root cause in the decision (and thus the audit
-			// trail): "invalid assertion" without the decode/signature
-			// detail is undebuggable for the community that issued it.
-			d.Reason = reason + ": " + aerr.Error()
-		}
-		return d, expiry, nil
+	// now is the environment clock, so time-bounded rules obey WithClock
+	// and agree with chain validation.
+	res, detail := p.enforcer.Decide(info, resource, action, now)
+	d := p.mapAccount(res)
+	if detail != nil && res.VOName.Empty() {
+		// An assertion that failed its check keeps the root cause in the
+		// decision (and thus the audit trail): "invalid assertion"
+		// without the decode/signature detail is undebuggable for the
+		// community that issued it.
+		d.Reason += ": " + detail.Error()
 	}
-
-	// The VO layer comes from the assertion when one was presented, or —
-	// for members that arrive bare — from the replicated policy bundle
-	// pulled from the community server. Either way the intersection rule
-	// is the same: both layers must permit.
-	voLayer := false
-	if assertion != nil {
-		voLayer = true
-		d.VOName = assertion.VO
-		// Verified community attributes flow into the request: local
-		// policy may reference VO groups and roles.
-		req.Groups = assertion.Groups
-		req.Roles = assertion.Roles
-		voPolicy := authz.NewPolicy(authz.DenyOverrides)
-		if err := voPolicy.AddChecked(assertion.Rules...); err != nil {
-			d.Decision = Deny
-			d.Reason = "assertion carries a rule with an invalid effect"
-			return d, expiry, nil
-		}
-		d.VO = voPolicy.Evaluate(req)
-		// A cached grant must not outlive the assertion that backs it.
-		if assertion.ExpiresAt.Before(expiry) {
-			expiry = assertion.ExpiresAt
-		}
-	} else {
-		voLayer = p.replicaLayer(&d, &req)
+	// A cached grant must not outlive the assertion that backs it.
+	if !res.Expires.IsZero() && res.Expires.Before(expiry) {
+		expiry = res.Expires
 	}
-
-	p.combineAndMap(&d, req, voLayer, assertion != nil)
 	return d, expiry, nil
 }
 
-// replicaLayer fills the VO half of a decision for a peer that arrived
-// without an assertion, from the replicated policy bundle. A non-member
-// falls through to local policy alone — the bundle vouches for members
-// only; it never blocks identities the VO has nothing to say about.
-// Shared by the cold path and warm-cache promotion so the two cannot
-// drift.
-func (p *AuthorizationPipeline) replicaLayer(d *AuthzDecision, req *authz.Request) (voLayer bool) {
-	if p.replica == nil {
-		return false
+// mapAccount turns the enforcer's result into a pipeline decision and
+// applies the grid-mapfile mapping (paper §5.3 step 3): a permitted
+// requester with no local account cannot be served — fail closed.
+func (p *AuthorizationPipeline) mapAccount(res cas.Result) AuthzDecision {
+	d := AuthzDecision{
+		Decision: res.Decision, Local: res.Local, VO: res.VO,
+		Identity: res.Identity, VOName: res.VOName, Reason: res.Reason,
 	}
-	groups, roles, ok := p.replica.Lookup(req.Subject)
-	if !ok {
-		return false
-	}
-	d.VOName = p.replica.VO()
-	req.Groups = groups
-	req.Roles = roles
-	d.VO = p.replica.Evaluate(authz.Request{Subject: req.Subject, Resource: req.Resource, Action: req.Action, Time: req.Time})
-	return true
-}
-
-// combineAndMap finishes a decision: local policy, the Figure-2
-// intersection when a VO layer is in scope, and the grid-mapfile
-// mapping. Shared by the cold path and warm-cache promotion.
-func (p *AuthorizationPipeline) combineAndMap(d *AuthzDecision, req authz.Request, voLayer, viaAssertion bool) {
-	if p.local != nil {
-		d.Local = p.local.Evaluate(req)
-	} else {
-		d.Local = NotApplicable
-	}
-
-	if voLayer {
-		// Figure 2 step 3: the intersection — both layers must permit.
-		d.Decision = authz.Combine(d.Local, d.VO)
-		if d.Decision != Permit {
-			d.Decision = Deny
-			d.Reason = fmt.Sprintf("intersection of local (%s) and VO (%s) policy", d.Local, d.VO)
-		} else if viaAssertion {
-			d.Reason = "permitted by local ∩ VO policy"
-		} else {
-			d.Reason = "permitted by local ∩ replicated VO policy"
-		}
-	} else {
-		d.Decision = d.Local
-		if d.Decision != Permit {
-			d.Decision = Deny
-			d.Reason = "no CAS assertion and local policy does not permit"
-		} else {
-			d.Reason = "permitted by local policy alone"
-		}
-	}
-
-	// Grid-mapfile mapping (paper §5.3 step 3): a permitted requester
-	// with no local account cannot be served — fail closed.
 	if d.Decision == Permit && p.gridmap != nil {
-		account, ok := p.gridmap.Lookup(req.Subject)
+		account, ok := p.gridmap.Lookup(d.Identity)
 		if !ok {
 			d.Decision = Deny
-			d.Reason = fmt.Sprintf("no gridmap entry for %q", req.Subject)
-			return
+			d.Reason = fmt.Sprintf("no gridmap entry for %q", d.Identity)
+			return d
 		}
 		d.LocalAccount = account
 	}
+	return d
 }
 
-// verifiedPeerInfo returns the peer's verified validation info, or nil
-// when the chain does not verify: the presented chain when one is in
-// hand (via the environment's verified-chain cache), else the
-// transport's connect-time info.
-func (p *AuthorizationPipeline) verifiedPeerInfo(peer Peer, now time.Time) *gridcert.ChainInfo {
+// verifiedPeerInfo returns the peer's verified validation info: the
+// presented chain when one is in hand, else the transport's
+// connect-time info (nil when there is neither). A presented chain is
+// re-validated even when the handshake already did: a long-lived
+// session must not keep a credential alive across a CRL or root
+// removal. The environment's verified-chain cache makes this one
+// digest on the steady state, and its entries are keyed on trust-store
+// generation and bounded by the validity window — so revocation bites
+// on the next exchange, not at reconnect.
+func (p *AuthorizationPipeline) verifiedPeerInfo(peer Peer, now time.Time) (*gridcert.ChainInfo, error) {
 	if len(peer.Chain) > 0 {
-		info, err := p.env.trust.VerifyCached(p.env.chains, gridcert.EncodeChain(peer.Chain), peer.Chain, gridcert.VerifyOptions{Now: now})
-		if err != nil {
-			return nil
-		}
-		return info
+		return p.env.trust.VerifyCached(p.env.chains, gridcert.EncodeChain(peer.Chain), peer.Chain, gridcert.VerifyOptions{Now: now})
 	}
-	return peer.Info
+	return peer.Info, nil
 }
 
 // HotDecisionKeys exports the decision cache's top-n hottest live keys
@@ -512,10 +391,9 @@ func (p *AuthorizationPipeline) WarmDecisions(keys []cas.HotKey) int {
 		}
 		gens := p.generations()
 		key := decisionKey{fp: k.FP, resource: k.Resource, action: k.Action, gens: gens}
-		d := AuthzDecision{Identity: identity, VO: NotApplicable}
-		req := authz.Request{Subject: identity, Resource: k.Resource, Action: k.Action, Time: now}
-		voLayer := p.replicaLayer(&d, &req)
-		p.combineAndMap(&d, req, voLayer, false)
+		// No chain, so no assertion: the replica and local policy decide.
+		res, _ := p.enforcer.Decide(&gridcert.ChainInfo{Identity: identity}, k.Resource, k.Action, now)
+		d := p.mapAccount(res)
 		expiry := now.Add(p.cacheTTL())
 		if k.NotAfter > 0 {
 			if na := time.Unix(k.NotAfter, 0); na.Before(expiry) {

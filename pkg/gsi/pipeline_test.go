@@ -11,6 +11,7 @@ import (
 	"repro/internal/gridcert"
 	"repro/internal/proxy"
 	"repro/internal/secsvc"
+	"repro/internal/wire"
 	"repro/pkg/gsi"
 )
 
@@ -567,5 +568,177 @@ func TestPipelineAnonymousDenied(t *testing.T) {
 	}
 	if d.Decision != gsi.Deny {
 		t.Fatalf("anonymous peer: %+v", d)
+	}
+}
+
+// TestEnforcerAndPipelineDecideAlike is the differential pin on Figure 2
+// step 3: one table of chains goes through the chain-in CAS enforcer and
+// through an uncached, gridmap-free pipeline, and both must reach the
+// same decision, components and identity. The pipeline may append the
+// assertion-check detail to the reason; nothing else may differ.
+func TestEnforcerAndPipelineDecideAlike(t *testing.T) {
+	bed := newAuthzBed(t)
+	now := time.Now()
+
+	// A second community whose signing key the test holds, so it can
+	// sign what a CAS server never would: an expired assertion and a
+	// zero-effect rule. Both enforcer and pipeline trust it.
+	signerCred, err := bed.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=SignerVO CAS"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer := gsi.NewCASServer(signerCred)
+	signer.AddMember(bed.alice.Identity(), "researchers")
+	sign := func(a *gsi.CASAssertion) *gsi.CASAssertion {
+		tbs := wire.NewDecoder(a.Encode()).Bytes()
+		sig, err := signerCred.Key.Sign(tbs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Signature = sig
+		return a
+	}
+	// Restricted proxies are built directly so the CAS block can be
+	// anything at all, including another subject's assertion.
+	restricted := func(blob []byte) []*gsi.Certificate {
+		cred, err := proxy.New(bed.alice, proxy.Options{
+			Variant:        gridcert.ProxyRestricted,
+			PolicyLanguage: cas.PolicyLanguage,
+			Policy:         blob,
+			Lifetime:       time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cred.Chain
+	}
+	issue := func(vo *gsi.CASServer, who gsi.Name) *gsi.CASAssertion {
+		a, err := vo.IssueAssertion(who)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	rogueCred, err := bed.ca.NewEntity(gsi.MustParseName("/O=Grid/CN=RogueVO CAS"), 72*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue := gsi.NewCASServer(rogueCred)
+	rogue.AddMember(bed.alice.Identity(), "researchers")
+
+	signer.SetClock(func() time.Time { return now.Add(-10 * time.Hour) })
+	signer.AssertionLifetime = time.Hour
+	expired := issue(signer, bed.alice.Identity())
+
+	bed.vo.AddMember(bed.bob.Identity(), "researchers")
+	forBob := issue(bed.vo, bed.bob.Identity())
+
+	zeroEffect := sign(&gsi.CASAssertion{
+		VO:      signer.VO(),
+		Subject: bed.alice.Identity(),
+		Rules: []gsi.Rule{{
+			ID:        "zero-effect",
+			Subjects:  []string{bed.alice.Identity().String()},
+			Resources: []string{"ogsa:gsi.exchange"},
+			Actions:   []string{"read"},
+		}},
+		IssuedAt:  now,
+		ExpiresAt: now.Add(time.Hour),
+	})
+
+	localDeny := gsi.NewPolicy(gsi.Rule{
+		ID:        "local-deny-alice",
+		Effect:    gsi.EffectDeny,
+		Subjects:  []string{bed.alice.Identity().String()},
+		Resources: []string{"ogsa:gsi.exchange"},
+		Actions:   []string{"*"},
+	})
+	groupGate := gsi.NewPolicy(gsi.Rule{
+		ID:        "group-gate",
+		Effect:    gsi.EffectPermit,
+		Groups:    []string{"researchers"},
+		Resources: []string{"ogsa:gsi.exchange"},
+		Actions:   []string{"*"},
+	})
+
+	rows := []struct {
+		name    string
+		chain   []*gsi.Certificate
+		action  string
+		local   *gsi.Policy
+		noLocal bool
+		want    gsi.Decision
+		reason  string // prefix of the enforcer's reason
+	}{
+		{name: "no assertion", chain: bed.alice.Chain,
+			want: gsi.Permit, reason: "permitted by local policy alone"},
+		{name: "assertion permitted by both", chain: bed.aliceVO.Chain,
+			want: gsi.Permit, reason: "permitted by local ∩ VO policy"},
+		{name: "assertion denied by local", chain: bed.aliceVO.Chain, local: localDeny,
+			want: gsi.Deny, reason: "intersection of local (deny) and VO (permit)"},
+		{name: "assertion denied by VO", chain: bed.aliceVO.Chain, action: "write",
+			want: gsi.Deny, reason: "intersection of local (permit) and VO (not-applicable)"},
+		{name: "malformed CAS block", chain: restricted([]byte("not an assertion")),
+			want: gsi.Deny, reason: "CAS assertion present but invalid"},
+		{name: "untrusted VO", chain: restricted(issue(rogue, bed.alice.Identity()).Encode()),
+			want: gsi.Deny, reason: "assertion from untrusted VO"},
+		{name: "expired assertion", chain: restricted(expired.Encode()),
+			want: gsi.Deny, reason: "assertion verification failed"},
+		{name: "subject mismatch", chain: restricted(forBob.Encode()),
+			want: gsi.Deny, reason: "assertion subject does not match"},
+		{name: "zero-effect VO rule", chain: restricted(zeroEffect.Encode()),
+			want: gsi.Deny, reason: "assertion carries a rule with an invalid effect"},
+		{name: "group-gated local rule", chain: bed.aliceVO.Chain, local: groupGate,
+			want: gsi.Permit, reason: "permitted by local ∩ VO policy"},
+		{name: "group-gated local rule without assertion", chain: bed.alice.Chain, local: groupGate,
+			want: gsi.Deny, reason: "no CAS assertion and local policy does not permit"},
+		{name: "nil local policy", chain: bed.aliceVO.Chain, noLocal: true,
+			want: gsi.Deny, reason: "intersection of local (not-applicable) and VO (permit)"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			local := bed.local
+			if row.local != nil {
+				local = row.local
+			}
+			opts := []gsi.Option{
+				gsi.WithTrustedVO(bed.vo.Certificate(), signer.Certificate()),
+				gsi.WithDecisionCache(0),
+			}
+			if row.noLocal {
+				local = nil
+			} else {
+				opts = append(opts, gsi.WithLocalPolicy(local))
+			}
+			action := row.action
+			if action == "" {
+				action = "read"
+			}
+
+			enf := gsi.NewCASEnforcer(bed.env.Trust(), local)
+			enf.TrustVO(bed.vo.Certificate(), signer.Certificate())
+			want, _ := enf.Authorize(row.chain, "ogsa:gsi.exchange", action, time.Now())
+
+			pl, err := bed.env.NewAuthorizationPipeline(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pl.Authorize(context.Background(), gsi.Peer{Chain: row.chain}, "ogsa:gsi.exchange", action)
+			if err != nil {
+				t.Fatalf("pipeline: %v", err)
+			}
+
+			if want.Decision != row.want || !strings.HasPrefix(want.Reason, row.reason) {
+				t.Fatalf("enforcer decided %s (%s), want %s (%s…)", want.Decision, want.Reason, row.want, row.reason)
+			}
+			if got.Decision != want.Decision || got.Local != want.Local || got.VO != want.VO ||
+				!got.Identity.Equal(want.Identity) || !got.VOName.Equal(want.VOName) {
+				t.Fatalf("pipeline %+v\nenforcer %+v", got, want)
+			}
+			if !strings.HasPrefix(got.Reason, want.Reason) {
+				t.Fatalf("pipeline reason %q does not extend enforcer reason %q", got.Reason, want.Reason)
+			}
+		})
 	}
 }
