@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaBundleDecode$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAssertion$$' -fuzztime=5s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPolicy$$' -fuzztime=5s ./internal/wssec
 
 ## bench: regenerate the paper's measurements.
 bench:

@@ -25,7 +25,6 @@ type inventoryService struct{ *ogsa.Base }
 
 func newInventoryService() *inventoryService {
 	s := &inventoryService{Base: ogsa.NewBase()}
-	s.Data.Set("__warmup__", []byte("ok"))
 	s.Data.Set("datasets", []byte("climate-2003,physics-1998"))
 	return s
 }
@@ -98,9 +97,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("datasets: %s\n", out)
-	fmt.Printf("pipeline trace: policy=%v conversion=%v tokens=%v invoke=%v (mechanism %s)\n",
+	fmt.Printf("pipeline trace: policy=%v tokens=%v invoke=%v (mechanism %s)\n",
 		trace.PolicyFetch.Round(time.Microsecond),
-		trace.Conversion.Round(time.Microsecond),
 		trace.TokenProcessing.Round(time.Microsecond),
 		trace.Invocation.Round(time.Microsecond),
 		trace.Mechanism)

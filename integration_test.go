@@ -4,6 +4,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/soap"
 	"repro/internal/vo"
 	"repro/internal/xmlsec"
+	"repro/pkg/gsi"
 )
 
 // TestIntegrationMyProxyToGRAM: a portal retrieves a user's delegated
@@ -257,9 +259,15 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpClient := &soap.Client{Endpoint: srv.URL()}
-	req := &core.Requestor{Credential: alice, Trust: boot.Trust}
-	out, trace, err := req.Invoke(httpClient.Call, "app", "echo", []byte("over the wire"))
+	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requestor, err := env.NewClient(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, trace, err := requestor.Invoke(context.Background(), srv.URL(), "app", "echo", []byte("over the wire"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +278,7 @@ func TestIntegrationFullStackHTTP(t *testing.T) {
 		t.Fatalf("trace = %+v", trace)
 	}
 	// The audit log is intact and saw the traffic.
+	httpClient := &soap.Client{Endpoint: srv.URL()}
 	client := &ogsa.Client{Transport: httpClient.Call, Credential: alice, TrustStore: boot.Trust}
 	verify, err := client.InvokeSigned("security/audit", "Verify", nil)
 	if err != nil || string(verify) != "intact" {

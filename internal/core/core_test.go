@@ -1,28 +1,23 @@
-package core
+package core_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/authz"
-	"repro/internal/bridge"
-	"repro/internal/ca"
+	"repro/internal/core"
 	"repro/internal/gridcert"
-	"repro/internal/kerberos"
 	"repro/internal/ogsa"
 	"repro/internal/soap"
 	"repro/internal/wssec"
+	"repro/pkg/gsi"
 )
 
 // demoService echoes with its caller's identity.
 type demoService struct{ *ogsa.Base }
-
-func newDemoService() *demoService {
-	s := &demoService{Base: ogsa.NewBase()}
-	s.Data.Set("__warmup__", []byte("ok"))
-	return s
-}
 
 func (s *demoService) Invoke(call *ogsa.Call) ([]byte, error) {
 	if reply, handled, err := s.HandleStandardOp(call); handled {
@@ -34,8 +29,45 @@ func (s *demoService) Invoke(call *ogsa.Call) ([]byte, error) {
 	return append([]byte("ok:"), call.Body...), nil
 }
 
+// servedBootstrap boots a stack publishing demoService as "app" and
+// serves it over HTTP, returning the bootstrap and the SOAP URL.
+func servedBootstrap(t *testing.T, authorizer authz.Engine) (*core.Bootstrap, string) {
+	t.Helper()
+	boot, err := core.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", authorizer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot.Stack.Container.Publish("app", &demoService{Base: ogsa.NewBase()})
+	url, shutdown, err := gsi.ServeHTTP(boot.Stack.Container, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown() })
+	return boot, url
+}
+
+// newClient builds a facade client for a new entity of boot's CA.
+func newClient(t *testing.T, boot *core.Bootstrap, dn string, opts ...gsi.Option) *gsi.Client {
+	t.Helper()
+	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cred *gridcert.Credential
+	if dn != "" {
+		if cred, err = boot.CA.NewEntity(gridcert.MustParseName(dn), 12*time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, err := env.NewClient(cred, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client
+}
+
 func TestBootstrapAndStackServices(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
+	boot, err := core.NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +104,9 @@ func TestBootstrapAndStackServices(t *testing.T) {
 }
 
 func TestFigure3PipelineStateful(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
-	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-
-	req := &Requestor{Credential: alice, Trust: boot.Trust}
-	out, trace, err := req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
+	boot, url := servedBootstrap(t, nil)
+	client := newClient(t, boot, "/O=Grid/CN=Alice")
+	out, trace, err := client.Invoke(context.Background(), url, "app", "whoami", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +114,10 @@ func TestFigure3PipelineStateful(t *testing.T) {
 		t.Fatalf("out = %q", out)
 	}
 	if trace.Mechanism != wssec.MechSecureConversation {
-		t.Fatalf("mechanism = %q (service prefers wssc)", trace.Mechanism)
+		t.Fatalf("mechanism = %q, want wssc", trace.Mechanism)
 	}
 	if trace.PolicyFetch <= 0 || trace.TokenProcessing <= 0 || trace.Invocation <= 0 {
 		t.Fatalf("trace not populated: %+v", trace)
-	}
-	if trace.Converted || trace.Conversion != 0 {
-		t.Fatalf("unexpected conversion: %+v", trace)
 	}
 	if trace.Total() < trace.Invocation {
 		t.Fatal("Total inconsistent")
@@ -102,82 +125,17 @@ func TestFigure3PipelineStateful(t *testing.T) {
 }
 
 func TestFigure3PipelineStateless(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
-	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	req := &Requestor{Credential: alice, Trust: boot.Trust, PreferStateless: true}
-	out, trace, err := req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
+	boot, url := servedBootstrap(t, nil)
+	client := newClient(t, boot, "/O=Grid/CN=Alice", gsi.WithMessageProtection(gsi.ProtectionSigned))
+	out, trace, err := client.Invoke(context.Background(), url, "app", "whoami", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "/O=Grid/CN=Alice" {
 		t.Fatalf("out = %q", out)
 	}
-	// Client preference only reorders *its* list; the service's published
-	// preference still picks the mechanism. Verify the field is set.
-	if trace.Mechanism == "" {
-		t.Fatal("no mechanism recorded")
-	}
-}
-
-func TestFigure3WithConversion(t *testing.T) {
-	// A site user with only Kerberos credentials converts via KCA inside
-	// the pipeline (step 2), then the request proceeds.
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
-
-	// Site Kerberos infrastructure + KCA whose CA the host trusts.
-	kdc := kerberos.NewKDC("ANL.GOV")
-	principal := kdc.RegisterPrincipal("alice", "pw")
-	kcaP, kcaKey, _ := kdc.RegisterService("kca/grid")
-	kcaAuthority, err := ca.New(gridcert.MustParseName("/O=ANL/CN=KCA"), 24*time.Hour, ca.DefaultPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapper := bridge.NewIdentityMapper()
-	aliceDN := gridcert.MustParseName("/O=ANL/CN=Alice")
-	mapper.MapKerberos(aliceDN, principal)
-	kca := bridge.NewKCA(kcaAuthority, kerberos.NewService(kcaP, kcaKey), mapper)
-	if err := boot.Trust.AddRoot(kcaAuthority.Certificate()); err != nil {
-		t.Fatal(err)
-	}
-
-	convert := func() (*gridcert.Credential, error) {
-		tgt, tgtSess, err := kdc.ASExchange("alice", "pw")
-		if err != nil {
-			return nil, err
-		}
-		a1, err := kerberos.NewAuthenticator(principal, tgtSess, time.Now())
-		if err != nil {
-			return nil, err
-		}
-		st, stSess, err := kdc.TGSExchange(tgt, a1, "kca/grid")
-		if err != nil {
-			return nil, err
-		}
-		ap, err := kerberos.NewAuthenticator(principal, stSess, time.Now())
-		if err != nil {
-			return nil, err
-		}
-		return kca.Convert(st, ap)
-	}
-
-	req := &Requestor{Credential: nil, Trust: boot.Trust, Convert: convert}
-	out, trace, err := req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != aliceDN.String() {
-		t.Fatalf("out = %q", out)
-	}
-	if !trace.Converted || trace.Conversion <= 0 {
-		t.Fatalf("conversion not traced: %+v", trace)
+	if trace.Mechanism != wssec.MechMessageSignature {
+		t.Fatalf("mechanism = %q, want xmldsig", trace.Mechanism)
 	}
 }
 
@@ -186,76 +144,49 @@ func TestPipelineAuthorizationDeny(t *testing.T) {
 		Effect:    authz.EffectPermit,
 		Subjects:  []string{"/O=Grid/CN=Alice"},
 		Resources: []string{"ogsa:app"},
-		Actions:   []string{"whoami", "FindServiceData"},
+		Actions:   []string{"whoami"},
 	})
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1",
-		&authz.PolicyEngine{Policy: pol, DefaultDeny: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
-	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	bob, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Bob"), 12*time.Hour)
-
-	reqA := &Requestor{Credential: alice, Trust: boot.Trust}
-	if _, _, err := reqA.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil); err != nil {
+	boot, url := servedBootstrap(t, &authz.PolicyEngine{Policy: pol, DefaultDeny: true})
+	ctx := context.Background()
+	alice := newClient(t, boot, "/O=Grid/CN=Alice")
+	if _, _, err := alice.Invoke(ctx, url, "app", "whoami", nil); err != nil {
 		t.Fatalf("alice: %v", err)
 	}
-	reqB := &Requestor{Credential: bob, Trust: boot.Trust}
-	_, _, err = reqB.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "whoami", nil)
-	if err == nil || !strings.Contains(err.Error(), "denied") {
+	bob := newClient(t, boot, "/O=Grid/CN=Bob")
+	_, _, err := bob.Invoke(ctx, url, "app", "whoami", nil)
+	if !errors.Is(err, gsi.ErrUnauthorized) || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("bob: %v", err)
 	}
 }
 
-func TestRequestorWithoutCredentialOrConverter(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		t.Fatal(err)
+// TestInvokeAnonymousRefused: a client holding no credential cannot
+// chain to any trust root the stack publishes, so step 2 refuses it
+// before any conversation is opened.
+func TestInvokeAnonymousRefused(t *testing.T) {
+	boot, url := servedBootstrap(t, nil)
+	client := newClient(t, boot, "", gsi.WithAnonymous())
+	_, _, err := client.Invoke(context.Background(), url, "app", "op", nil)
+	if !errors.Is(err, wssec.ErrNoAgreement) {
+		t.Fatalf("anonymous Invoke: %v", err)
 	}
-	req := &Requestor{Trust: boot.Trust}
-	_, _, err = req.Invoke(soap.Pipe(boot.Stack.Container.Dispatcher()), "app", "op", nil)
-	if err == nil {
-		t.Fatal("invocation without credential succeeded")
+	if n := boot.Stack.Container.ConversationManager().Sessions(); n != 0 {
+		t.Fatalf("conversations opened = %d", n)
 	}
 }
 
 func TestPipelineOverHTTP(t *testing.T) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
+	boot, url := servedBootstrap(t, nil)
+	client := newClient(t, boot, "/O=Grid/CN=Alice")
+	out, _, err := client.Invoke(context.Background(), url, "app", "echo", []byte("over the wire"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot.Stack.Container.Publish("app", newDemoService())
-	srv, err := soap.NewServer("127.0.0.1:0", boot.Stack.Container.Dispatcher())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	client := &soap.Client{Endpoint: srv.URL()}
-	req := &Requestor{Credential: alice, Trust: boot.Trust}
-	out, _, err := req.Invoke(client.Call, "app", "whoami", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "/O=Grid/CN=Alice" {
+	if string(out) != "ok:over the wire" {
 		t.Fatalf("out = %q", out)
 	}
-}
-
-func BenchmarkFigure3PipelineFull(b *testing.B) {
-	boot, err := NewBootstrap("/O=Grid/CN=CA", "/O=Grid/CN=host s1", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	boot.Stack.Container.Publish("app", newDemoService())
-	alice, _ := boot.CA.NewEntity(gridcert.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	transport := soap.Pipe(boot.Stack.Container.Dispatcher())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := &Requestor{Credential: alice, Trust: boot.Trust}
-		if _, _, err := req.Invoke(transport, "app", "echo", []byte("x")); err != nil {
-			b.Fatal(err)
-		}
+	// The stack's audit service recorded the delivered call.
+	events, _, err := client.Invoke(context.Background(), url, "security/audit", "Query", []byte("invoke"))
+	if err != nil || !strings.Contains(string(events), "app/echo") {
+		t.Fatalf("audit query: %v %q", err, events)
 	}
 }

@@ -107,7 +107,7 @@ func (m *MJS) ConnectWith(reqCfg gss.Config) (*Connection, error) {
 		return nil, fmt.Errorf("gram: requestor %q is not the owner %q of this MJS",
 			actx.Peer().Identity, m.owner)
 	}
-	// Requestor side: GRIM-credential authorization.
+	// Requesting side: GRIM-credential authorization.
 	pol, err := VerifyGRIMCredential(ictx.Peer().Chain, requestorTrust, requestor.Identity())
 	if err != nil {
 		return nil, err

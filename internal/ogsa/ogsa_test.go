@@ -1,6 +1,7 @@
 package ogsa
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/gridcert"
 	"repro/internal/proxy"
 	"repro/internal/soap"
+	"repro/internal/wssec"
 )
 
 // echoService is a minimal Grid service for tests.
@@ -296,7 +298,10 @@ func TestLimitedProxyRejectedByJobContainer(t *testing.T) {
 
 func TestFetchContainerPolicy(t *testing.T) {
 	b := newBed(t, nil)
-	pol, err := b.client.FetchPolicy()
+	pipe := b.client.Transport
+	pol, err := wssec.FetchPolicy(context.Background(), func(_ context.Context, env *soap.Envelope) (*soap.Envelope, error) {
+		return pipe(env)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

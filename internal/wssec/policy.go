@@ -1,6 +1,7 @@
 package wssec
 
 import (
+	"context"
 	"encoding/hex"
 	"encoding/xml"
 	"errors"
@@ -86,9 +87,10 @@ func PublishPolicy(d *soap.Dispatcher, p *PolicyDocument) error {
 	return nil
 }
 
-// FetchPolicy retrieves a service's policy document.
-func FetchPolicy(transport Transport) (*PolicyDocument, error) {
-	reply, err := transport(soap.NewEnvelope(ActionGetPolicy, nil))
+// FetchPolicy retrieves a service's policy document (Figure 3 step 1);
+// the round trip honors ctx.
+func FetchPolicy(ctx context.Context, transport ContextTransport) (*PolicyDocument, error) {
+	reply, err := transport(ctx, soap.NewEnvelope(ActionGetPolicy, nil))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package wssec
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"strings"
 	"testing"
@@ -222,7 +223,10 @@ func TestPolicyPublishFetchIntersect(t *testing.T) {
 	if err := PublishPolicy(d, pol); err != nil {
 		t.Fatal(err)
 	}
-	got, err := FetchPolicy(soap.Pipe(d))
+	pipe := soap.Pipe(d)
+	got, err := FetchPolicy(context.Background(), func(_ context.Context, env *soap.Envelope) (*soap.Envelope, error) {
+		return pipe(env)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -215,5 +217,20 @@ func TestGT3InvokeCancellation(t *testing.T) {
 	// Live context: full pipeline succeeds.
 	if out, _, err := client.Invoke(context.Background(), url, "security/audit", "Count", nil); err != nil {
 		t.Fatalf("live Invoke: %v (out=%q)", err, out)
+	}
+	// Mid-RPC: a SOAP endpoint that never answers is abandoned at the
+	// caller's deadline, not at the SOAP client's own 30 s timeout.
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	defer hung.Close()
+	defer close(release)
+	deadline, cancelDeadline := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancelDeadline()
+	start := time.Now()
+	_, _, err = client.Invoke(deadline, hung.URL, "security/audit", "Count", nil)
+	if took := time.Since(start); !errors.Is(err, gsi.ErrContextClosed) || took > 2*time.Second {
+		t.Fatalf("Invoke against a hung endpoint: %v after %v", err, took)
 	}
 }

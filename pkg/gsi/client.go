@@ -2,14 +2,18 @@ package gsi
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/cas"
 	"repro/internal/gram"
 	"repro/internal/gss"
 	"repro/internal/proxy"
+	"repro/internal/soap"
 	"repro/internal/trace"
+	"repro/internal/wssec"
 )
 
 // Client is the initiator handle of the redesigned API: one grid party
@@ -127,7 +131,6 @@ func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (
 	if err := s.poolUsable(); err != nil {
 		return nil, opErr(op, err)
 	}
-	cred := c.credential()
 	// Tracing: a Connect inside a traced operation (OpenStream's dial,
 	// a stream's parent span in ctx) lands as a retroactive child on
 	// that span; a standalone traced Connect gets its own root span.
@@ -141,33 +144,13 @@ func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (
 	if parent != nil {
 		start = time.Now()
 	}
-	if s.pool != nil {
-		sess, err := s.pool.checkout(ctx, poolKeyOf(c.env, endpoint, s, cred),
-			dialRequest{client: c, endpoint: endpoint, s: s, cred: cred})
-		if err != nil {
-			sp.SetError(err)
-			sp.End()
-			return nil, opErr(op, err)
-		}
-		if parent != nil && !sess.reused {
-			if sp == nil {
-				parent.AddTimed("client.connect", start, time.Since(start), "")
-			}
-			clientHandshakeSpan(parent, sess)
-		}
-		if sp != nil {
-			sp.SetPeer(sess.Peer().Identity.String())
-			sp.End()
-		}
-		return sess, nil
-	}
-	sess, err := c.dialSession(ctx, endpoint, s, cred)
+	sess, reused, err := c.session(ctx, endpoint, s, c.credential())
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
 		return nil, opErr(op, err)
 	}
-	if parent != nil {
+	if parent != nil && !reused {
 		if sp == nil {
 			parent.AddTimed("client.connect", start, time.Since(start), "")
 		}
@@ -178,6 +161,22 @@ func (c *Client) Connect(ctx context.Context, endpoint string, opts ...Option) (
 		sp.End()
 	}
 	return sess, nil
+}
+
+// session checks a session for cred out of the pool, or dials one on a
+// non-pooling client. reused reports a checkout the idle pool satisfied
+// (no handshake paid).
+func (c *Client) session(ctx context.Context, endpoint string, s settings, cred *Credential) (sess Session, reused bool, err error) {
+	if s.pool == nil {
+		sess, err = c.dialSession(ctx, endpoint, s, cred)
+		return sess, false, err
+	}
+	ps, err := s.pool.checkout(ctx, poolKeyOf(c.env, endpoint, s, cred),
+		dialRequest{client: c, endpoint: endpoint, s: s, cred: cred})
+	if err != nil {
+		return nil, false, err
+	}
+	return ps, ps.reused, nil
 }
 
 // dialSession performs one dial attempt (directly or from a pool
@@ -216,97 +215,106 @@ func (c *Client) dialSession(ctx context.Context, endpoint string, s settings, c
 // the op may execute twice. Issue non-idempotent operations through
 // Connect and Session.Exchange instead, which never retry.
 func (c *Client) Exchange(ctx context.Context, endpoint, op string, body []byte, opts ...Option) ([]byte, error) {
-	const opName = "gsi.Client.Exchange"
+	out, _, err := c.call(ctx, "gsi.Client.Exchange", "client.exchange", endpoint, "", op, body, opts)
+	return out, err
+}
+
+// call is Exchange (handle "") and Invoke (a GT3 container handle).
+// Tracing: the root span covers the whole operation — Invoke's policy
+// step, the dial (or pool checkout), any retries, and the request
+// itself — and rides ctx so the transport appends its context to the
+// outgoing frame. The disabled path pays nil checks only: no context
+// wrap, no clock reads, no allocations.
+func (c *Client) call(ctx context.Context, opName, root, endpoint, handle, op string, body []byte, opts []Option) ([]byte, Trace, error) {
+	var phases Trace
 	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
 	defer cancelSkew()
+	if err == nil {
+		err = s.poolUsable()
+	}
 	if err != nil {
-		return nil, opErr(opName, err)
+		return nil, phases, opErr(opName, err)
 	}
-	if err := s.poolUsable(); err != nil {
-		return nil, opErr(opName, err)
-	}
-	// Tracing: the root span covers the whole operation — dial (or pool
-	// checkout), any retries, and the exchange itself — and rides ctx so
-	// the transport appends its context to the outgoing frame. The
-	// disabled path pays nil checks only: no context wrap, no clock
-	// reads, no allocations.
 	var sp *trace.Span
 	if s.tracer != nil {
-		sp = s.tracer.StartRoot("client.exchange")
+		sp = s.tracer.StartRoot(root)
 		ctx = trace.ContextWithSpan(ctx, sp)
 	}
-	if s.pool == nil {
-		dialStart := time.Time{}
-		if sp != nil {
-			dialStart = time.Now()
-		}
-		sess, err := c.dialSession(ctx, endpoint, s, c.credential())
-		if err != nil {
-			sp.SetError(err)
-			sp.End()
-			return nil, opErr(opName, err)
-		}
-		if sp != nil {
-			sp.AddTimed("client.connect", dialStart, time.Since(dialStart), "")
-			clientHandshakeSpan(sp, sess)
-			sp.SetPeer(sess.Peer().Identity.String())
-		}
-		defer sess.Close()
-		out, err := sess.Exchange(ctx, op, body)
-		if sp != nil {
-			sp.AddBytes(int64(len(body) + len(out)))
-			sp.SetError(err)
-			sp.End()
-		}
-		if err != nil {
-			return nil, opErr(opName, err)
-		}
-		return out, nil
+	if handle != "" {
+		// Invoke endpoints are SOAP URLs, whatever WithTransport says.
+		s.transport = TransportGT3()
+		phases.Mechanism, phases.PolicyFetch, err = c.negotiate(ctx, sp, s, endpoint)
 	}
-	// Every reused-but-poisoned session may hide another stale one
-	// behind it in the idle pool; allow one attempt per possible parked
-	// session plus a final fresh dial. The credential is re-resolved per
-	// attempt so a retry racing a rotation lands on the successor.
-	attempts := s.pool.maxIdle + 2
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		cred := c.credential()
-		key := poolKeyOf(c.env, endpoint, s, cred)
-		checkoutStart := time.Time{}
-		if sp != nil {
-			checkoutStart = time.Now()
+	var out []byte
+	if err == nil {
+		out, err = c.roundTrip(ctx, sp, s, endpoint, handle, op, body, &phases)
+	}
+	sp.SetError(err)
+	sp.End()
+	if err != nil {
+		return nil, phases, opErr(opName, err)
+	}
+	return out, phases, nil
+}
+
+// roundTrip runs one request on a session to endpoint: checked out of
+// the pool and returned, or dialed and closed. handle "" is a
+// Session.Exchange, anything else a GT3 call on that container handle,
+// whose dial and call times it records into phases.
+//
+// When a reused session turns out poisoned the request is retried on
+// a fresh one. Every reused-but-poisoned session may hide another
+// stale one behind it in the idle pool, so there is one attempt per
+// possible parked session plus a final fresh dial. The credential is
+// re-resolved per attempt so a retry racing a rotation lands on the
+// successor.
+func (c *Client) roundTrip(ctx context.Context, sp *trace.Span, s settings, endpoint, handle, op string, body []byte, phases *Trace) ([]byte, error) {
+	attempts := 1
+	if s.pool != nil {
+		attempts = s.pool.maxIdle + 2
+	}
+	clocked := handle != "" || sp != nil
+	for attempt := 1; ; attempt++ {
+		var start, called time.Time
+		if clocked {
+			start = time.Now()
 		}
-		sess, err := s.pool.checkout(ctx, key, dialRequest{client: c, endpoint: endpoint, s: s, cred: cred})
+		sess, reused, err := c.session(ctx, endpoint, s, c.credential())
 		if err != nil {
-			sp.SetError(err)
-			sp.End()
-			return nil, opErr(opName, err)
+			return nil, err
 		}
-		if sp != nil {
-			if !sess.reused {
-				sp.AddTimed("client.connect", checkoutStart, time.Since(checkoutStart), "")
+		if clocked {
+			called = time.Now()
+		}
+		if !reused {
+			phases.TokenProcessing = called.Sub(start)
+			if sp != nil {
+				sp.AddTimed("client.connect", start, phases.TokenProcessing, "")
 				clientHandshakeSpan(sp, sess)
 			}
+		}
+		if sp != nil {
 			sp.SetPeer(sess.Peer().Identity.String())
 		}
-		out, err := sess.Exchange(ctx, op, body)
-		retriable := err != nil && sess.reused && sess.poisoned.Load() && ctx.Err() == nil
+		var out []byte
+		if handle == "" {
+			out, err = sess.Exchange(ctx, op, body)
+		} else {
+			out, err = sess.(handleInvoker).invoke(ctx, handle, op, body)
+		}
+		if clocked {
+			phases.Invocation = time.Since(called)
+		}
+		retriable := err != nil && reused && sess.(*pooledSession).poisoned.Load() && ctx.Err() == nil
 		sess.Close()
 		if err == nil {
-			if sp != nil {
-				sp.AddBytes(int64(len(body) + len(out)))
-				sp.End()
-			}
+			sp.AddBytes(int64(len(body) + len(out)))
 			return out, nil
 		}
-		lastErr = err
-		if !retriable {
-			break
+		if !retriable || attempt == attempts {
+			return nil, err
 		}
 	}
-	sp.SetError(lastErr)
-	sp.End()
-	return nil, opErr(opName, lastErr)
 }
 
 // Establish runs an in-memory mutual authentication against an acceptor
@@ -441,26 +449,78 @@ func (c *Client) SubmitJob(ctx context.Context, resource *JobResource, desc JobD
 	return mjs, nil
 }
 
-// Invoke runs the Figure-3 secured-request pipeline against a GT3
-// container endpoint (policy fetch, mechanism selection, token
-// processing, delivery), returning the reply and the phase timings.
+// Trace records where time went in one Invoke — the measurable form
+// of Figure 3's numbered steps.
+type Trace struct {
+	PolicyFetch time.Duration // step 1
+	// TokenProcessing is steps 3–4, the session dial: zero when the
+	// checkout reused a pooled session.
+	TokenProcessing time.Duration
+	Invocation      time.Duration // delivery, step 5 and the service
+	Mechanism       wssec.Mechanism
+}
+
+// Total sums the phases.
+func (t Trace) Total() time.Duration {
+	return t.PolicyFetch + t.TokenProcessing + t.Invocation
+}
+
+// handleInvoker is a GT3 session that can call any service of its
+// container, not only the exchange handle.
+type handleInvoker interface {
+	invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error)
+}
+
+// Invoke runs the Figure-3 secured request against the GT3 container at
+// endpoint (a SOAP URL, whatever WithTransport says), calling op on the
+// service published under handle. Step 1 fetches the container's
+// published policy; step 2 agrees on the mechanism WithMessageProtection
+// names, failing with an error wrapping wssec.ErrNoAgreement when the
+// container does not publish it; steps 3–4 are the session, checked
+// out and retried as Exchange's are (with the same at-most-once
+// caveat); step 5 runs in the container.
 func (c *Client) Invoke(ctx context.Context, endpoint, handle, op string, body []byte, opts ...Option) ([]byte, Trace, error) {
-	const opName = "gsi.Client.Invoke"
-	ctx, cancelSkew, s, err := c.resolve(ctx, opts)
-	defer cancelSkew()
+	return c.call(ctx, "gsi.Client.Invoke", "client.invoke", endpoint, handle, op, body, opts)
+}
+
+// negotiate runs Figure-3 steps 1–2 against the container at endpoint:
+// it fetches the published policy and intersects it with exactly the
+// mechanism the client's protection level selects, GSI proxy tokens,
+// and the trust roots its credential chains to (the container
+// re-verifies the chain).
+func (c *Client) negotiate(ctx context.Context, sp *trace.Span, s settings, endpoint string) (wssec.Mechanism, time.Duration, error) {
+	start := time.Now()
+	soapClient := &soap.Client{Endpoint: endpoint}
+	pol, err := wssec.FetchPolicy(ctx, soapClient.CallContext)
+	fetched := time.Since(start)
+	if sp != nil {
+		sp.AddTimed("client.policy", start, fetched, "")
+	}
 	if err != nil {
-		return nil, Trace{}, opErr(opName, err)
+		return "", fetched, fmt.Errorf("gsi: fetching policy: %w", err)
 	}
-	r := &Requestor{
-		Credential:      c.credential(),
-		Trust:           c.env.trust,
-		PreferStateless: s.protection == ProtectionSigned,
+	caps := wssec.ClientCapabilities{
+		Mechanisms: []wssec.Mechanism{wssec.MechSecureConversation},
+		TokenTypes: []string{"gsi:proxy"},
+		CanEncrypt: s.protection != ProtectionSigned,
 	}
-	out, phases, err := r.InvokeContext(ctx, HTTPTransport(endpoint), handle, op, body)
+	if s.protection == ProtectionSigned {
+		caps.Mechanisms[0] = wssec.MechMessageSignature
+	}
+	if cred := c.credential(); cred != nil {
+		top := cred.Chain[len(cred.Chain)-1]
+		for _, name := range []Name{top.Issuer, top.Subject} {
+			if root, ok := c.env.trust.Root(name); ok {
+				fp := root.Fingerprint()
+				caps.TrustRootFingerprints = append(caps.TrustRootFingerprints, hex.EncodeToString(fp[:]))
+			}
+		}
+	}
+	ag, err := wssec.Intersect(caps, pol)
 	if err != nil {
-		return nil, phases, opErr(opName, err)
+		return "", fetched, fmt.Errorf("gsi: %s publishes mechanisms %v: %w", endpoint, pol.Mechanisms, err)
 	}
-	return out, phases, nil
+	return ag.Mechanism, fetched, nil
 }
 
 // compile-time interface checks for the session and stream
@@ -474,6 +534,10 @@ var (
 	_ sessionHealth = (*gt2Session)(nil)
 	_ sessionHealth = (*gt3Session)(nil)
 	_ sessionProber = (*gt2Session)(nil)
+
+	_ handleInvoker = (*gt3Session)(nil)
+	_ handleInvoker = (*gt3SignedSession)(nil)
+	_ handleInvoker = (*pooledSession)(nil)
 
 	_ Stream = (*gt2Stream)(nil)
 	_ Stream = (*gt3Stream)(nil)

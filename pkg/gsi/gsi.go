@@ -139,8 +139,6 @@ type (
 	Call = ogsa.Call
 	// ServiceClient invokes container services (signed or stateful).
 	ServiceClient = ogsa.Client
-	// Requestor automates the Figure-3 secured-request pipeline.
-	Requestor = core.Requestor
 	// Stack is a hosting environment with the standard security services.
 	Stack = core.Stack
 	// Bootstrap is a single-CA demo/test environment.
@@ -159,8 +157,6 @@ type (
 	// retrieve fresh proxies minted below it (a renewal source for
 	// CredentialManager via EndpointRenewal).
 	DelegationService = ogsa.DelegationService
-	// Trace records where time went in one secured request (Figure 3).
-	Trace = core.Trace
 )
 
 // GRAM types (Figure 4).
@@ -254,8 +250,8 @@ func NewBootstrap(caName, hostName string, authorizer authz.Engine) (*Bootstrap,
 // NewMyProxy creates an online credential repository.
 func NewMyProxy() *MyProxy { return myproxy.NewServer() }
 
-// PipeTransport wires a Requestor or ServiceClient directly to a
-// container in-process.
+// PipeTransport wires a ServiceClient directly to a container
+// in-process.
 func PipeTransport(c *Container) func(*Envelope) (*Envelope, error) {
 	return soap.Pipe(c.Dispatcher())
 }
@@ -268,12 +264,6 @@ func ServeHTTP(c *Container, addr string) (url string, shutdown func() error, er
 		return "", nil, err
 	}
 	return srv.URL(), srv.Close, nil
-}
-
-// HTTPTransport returns a transport calling a remote SOAP endpoint.
-func HTTPTransport(endpoint string) func(*Envelope) (*Envelope, error) {
-	client := &soap.Client{Endpoint: endpoint}
-	return client.Call
 }
 
 // GenerateKey creates a fresh Ed25519 key pair (for CSR-style issuance).

@@ -79,16 +79,16 @@ func TestPublicAPIServiceStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &gsi.Requestor{Credential: alice, Trust: boot.Trust}
-	out, trace, err := req.Invoke(gsi.PipeTransport(boot.Stack.Container), "ping", "ping", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "pong:/O=Grid/CN=Alice" {
-		t.Fatalf("out = %q", out)
-	}
-	if trace.Total() <= 0 {
-		t.Fatal("no trace")
+	// In process: a ServiceClient over a pipe, signed and stateful.
+	client := &gsi.ServiceClient{Transport: gsi.PipeTransport(boot.Stack.Container), Credential: alice, TrustStore: boot.Trust}
+	for _, call := range []func(handle, op string, body []byte) ([]byte, error){client.InvokeSigned, client.InvokeSecure} {
+		out, err := call("ping", "ping", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != "pong:/O=Grid/CN=Alice" {
+			t.Fatalf("out = %q", out)
+		}
 	}
 }
 
@@ -104,12 +104,22 @@ func TestPublicAPIOverHTTP(t *testing.T) {
 	}
 	defer shutdown()
 	alice, _ := boot.CA.NewEntity(gsi.MustParseName("/O=Grid/CN=Alice"), 12*time.Hour)
-	req := &gsi.Requestor{Credential: alice, Trust: boot.Trust}
-	out, _, err := req.Invoke(gsi.HTTPTransport(url), "ping", "ping", nil)
+	env, err := gsi.NewEnvironment(gsi.WithTrustStore(boot.Trust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := env.NewClient(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, trace, err := client.Invoke(context.Background(), url, "ping", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "pong:/O=Grid/CN=Alice" {
 		t.Fatalf("out = %q", out)
+	}
+	if trace.Total() <= 0 {
+		t.Fatal("no trace")
 	}
 }

@@ -690,21 +690,39 @@ type pooledSession struct {
 	poisoned atomic.Bool
 }
 
+var errReleased = errors.New("gsi: session already returned to pool")
+
 func (ps *pooledSession) Exchange(ctx context.Context, op string, body []byte) ([]byte, error) {
 	if ps.released.Load() {
-		return nil, &Error{Op: "gsi.Session.Exchange", Err: errors.New("gsi: session already returned to pool")}
+		return nil, &Error{Op: "gsi.Session.Exchange", Err: errReleased}
 	}
 	out, err := ps.sess.Exchange(ctx, op, body)
+	ps.watch(err)
+	return out, err
+}
+
+// invoke forwards a container-handle call (Client.Invoke) to the
+// underlying GT3 session, watching it for poisoning like Exchange.
+func (ps *pooledSession) invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error) {
+	if ps.released.Load() {
+		return nil, errReleased
+	}
+	out, err := ps.sess.(handleInvoker).invoke(ctx, handle, op, body)
+	ps.watch(err)
+	return out, err
+}
+
+// watch marks the session poisoned when err leaves it unsafe to reuse.
+// A cancellation that struck before any I/O leaves the channel intact
+// (the transports guarantee it); the session's own health check is
+// trusted there instead of discarding a good connection.
+func (ps *pooledSession) watch(err error) {
 	if sessionPoisoned(err) {
-		// A cancellation that struck before any I/O leaves the channel
-		// intact (the transports guarantee it); trust the session's own
-		// health check there instead of discarding a good connection.
 		ctxErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		if !ctxErr || !sessionHealthy(ps.sess) {
 			ps.poisoned.Store(true)
 		}
 	}
-	return out, err
 }
 
 // OpenStream opens a stream on the pooled session. The stream borrows
@@ -713,7 +731,7 @@ func (ps *pooledSession) Exchange(ctx context.Context, op string, body []byte) (
 // so the pool discards instead of parking.
 func (ps *pooledSession) OpenStream(ctx context.Context, op string) (Stream, error) {
 	if ps.released.Load() {
-		return nil, &Error{Op: "gsi.Session.OpenStream", Err: errors.New("gsi: session already returned to pool")}
+		return nil, &Error{Op: "gsi.Session.OpenStream", Err: errReleased}
 	}
 	st, err := ps.sess.OpenStream(ctx, op)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/gridcrypto"
 	"repro/internal/gsitransport"
 	"repro/internal/record"
-	"repro/internal/soap"
 	"repro/internal/trace"
 )
 
@@ -311,16 +310,6 @@ const (
 	gt3StreamReadPrefix  = reservedOpPrefix + "stream.r:"
 )
 
-func (s *gt3Session) call(ctx context.Context, op string, body []byte) ([]byte, error) {
-	env := soap.NewEnvelope("ogsa-sc/"+exchangeHandle+"/"+op, body)
-	setTraceHeader(ctx, env)
-	reply, err := s.conv.CallContext(ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Body, nil
-}
-
 // encodeStreamOp renders an application op for carriage in a GT3
 // action suffix. Ops are arbitrary strings — a '/' would collide with
 // the container's handle/op routing — so the base64url alphabet
@@ -343,7 +332,7 @@ func (s *gt3Session) OpenStream(ctx context.Context, op string) (Stream, error) 
 	if op == "" || strings.HasPrefix(op, reservedOpPrefix) {
 		return nil, opErr(opName, fmt.Errorf("gsi: invalid stream op %q", op))
 	}
-	id, err := s.call(ctx, gt3StreamOpenPrefix+encodeStreamOp(op), nil)
+	id, err := s.invoke(ctx, exchangeHandle, gt3StreamOpenPrefix+encodeStreamOp(op), nil)
 	if err != nil {
 		return nil, opErr(opName, err)
 	}
@@ -369,7 +358,7 @@ func (g *gt3Stream) sendChunk(build func([]byte) ([]byte, error)) error {
 	if err != nil {
 		return streamErr(err)
 	}
-	if _, err := g.sess.call(g.ctx, gt3StreamWritePrefix+g.id, rec); err != nil {
+	if _, err := g.sess.invoke(g.ctx, exchangeHandle, gt3StreamWritePrefix+g.id, rec); err != nil {
 		return streamErr(err)
 	}
 	return nil
@@ -415,7 +404,7 @@ func (g *gt3Stream) Read(p []byte) (int, error) {
 		if len(p) == 0 {
 			return 0, nil
 		}
-		rec, err := g.sess.call(g.ctx, gt3StreamReadPrefix+g.id, nil)
+		rec, err := g.sess.invoke(g.ctx, exchangeHandle, gt3StreamReadPrefix+g.id, nil)
 		if err != nil {
 			g.rerr = streamErr(err)
 			return 0, g.rerr

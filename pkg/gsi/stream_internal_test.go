@@ -153,7 +153,7 @@ func TestGT3ChunkGate(t *testing.T) {
 	id := st.(*gt3Stream).id
 	denied := func(who *gt3Session, id, what string) {
 		t.Helper()
-		if _, err := who.call(ctx, gt3StreamWritePrefix+id, nil); err == nil || !strings.Contains(err.Error(), "unknown stream denied") {
+		if _, err := who.invoke(ctx, exchangeHandle, gt3StreamWritePrefix+id, nil); err == nil || !strings.Contains(err.Error(), "unknown stream denied") {
 			t.Fatalf("%s: chunk call answered %v, want denied", what, err)
 		}
 	}

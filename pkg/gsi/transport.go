@@ -582,11 +582,18 @@ type gt3Session struct {
 }
 
 func (s *gt3Session) Exchange(ctx context.Context, op string, body []byte) ([]byte, error) {
-	env := soap.NewEnvelope("ogsa-sc/"+exchangeHandle+"/"+op, body)
+	out, err := s.invoke(ctx, exchangeHandle, op, body)
+	return out, opErr("gsi.Session.Exchange", err)
+}
+
+// invoke calls op on the container service published under handle,
+// over the conversation.
+func (s *gt3Session) invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error) {
+	env := soap.NewEnvelope("ogsa-sc/"+handle+"/"+op, body)
 	setTraceHeader(ctx, env)
 	reply, err := s.conv.CallContext(ctx, env)
 	if err != nil {
-		return nil, opErr("gsi.Session.Exchange", err)
+		return nil, err
 	}
 	return reply.Body, nil
 }
@@ -606,16 +613,23 @@ type gt3SignedSession struct {
 }
 
 func (s *gt3SignedSession) Exchange(ctx context.Context, op string, body []byte) ([]byte, error) {
-	env := soap.NewEnvelope("ogsa/"+exchangeHandle+"/"+op, body)
+	out, err := s.invoke(ctx, exchangeHandle, op, body)
+	return out, opErr("gsi.Session.Exchange", err)
+}
+
+// invoke calls op on the container service published under handle,
+// signing the request under the caller's credential.
+func (s *gt3SignedSession) invoke(ctx context.Context, handle, op string, body []byte) ([]byte, error) {
+	env := soap.NewEnvelope("ogsa/"+handle+"/"+op, body)
 	if err := xmlsec.SignEnvelope(env, s.cred); err != nil {
-		return nil, opErr("gsi.Session.Exchange", err)
+		return nil, err
 	}
 	reply, err := s.transport(ctx, env)
 	if err != nil {
-		return nil, opErr("gsi.Session.Exchange", err)
+		return nil, err
 	}
 	if reply.Fault != nil {
-		return nil, opErr("gsi.Session.Exchange", reply.Fault)
+		return nil, reply.Fault
 	}
 	return reply.Body, nil
 }
